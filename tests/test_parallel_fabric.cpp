@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,6 +75,33 @@ std::string link_stats_text(net::Fabric& fabric) {
 // PCIe models, detectors) under the gray-failure and ECMP scenarios.
 // ---------------------------------------------------------------------------
 
+/// The signature of a finished scenario run; `int_fabric`, when non-null,
+/// appends its rendered report stream to the event log.
+RunSignature sign(sim::EventLoop& loop, net::Fabric& fabric,
+                  const std::vector<std::string>& events,
+                  int_tel::IntFabric* int_fabric) {
+  RunSignature sig;
+  sig.events = join(events);
+  if (int_fabric != nullptr) {
+    std::size_t cursor = 0;
+    for (const auto* rep : int_fabric->collector().poll(cursor)) {
+      sig.events += rep->render();
+      sig.events += '\n';
+    }
+  }
+  sig.metrics = loop.telemetry().metrics().snapshot_json();
+  sig.mfr = loop.telemetry().recorder().dump_text(loop.now(), "equivalence");
+  sig.stats = link_stats_text(fabric);
+  return sig;
+}
+
+RunSignature run_gray(const net::GrayScenarioConfig& cfg) {
+  net::GrayFabricScenario scenario(cfg);
+  const auto res = scenario.run();
+  return sign(scenario.loop(), scenario.fabric(), res.events,
+              scenario.int_fabric());
+}
+
 RunSignature run_gray(int threads, std::uint64_t seed, Duration pacing = 0,
                       int leaves = 2, int spines = 2, bool async_push = false) {
   net::GrayScenarioConfig cfg;
@@ -88,16 +117,7 @@ RunSignature run_gray(int threads, std::uint64_t seed, Duration pacing = 0,
     cfg.fault_at = 300 * kMicrosecond;
     cfg.run_until = 600 * kMicrosecond;
   }
-  net::GrayFabricScenario scenario(cfg);
-  auto res = scenario.run();
-
-  RunSignature sig;
-  sig.events = join(res.events);
-  sig.metrics = scenario.loop().telemetry().metrics().snapshot_json();
-  sig.mfr = scenario.loop().telemetry().recorder().dump_text(
-      scenario.loop().now(), "equivalence");
-  sig.stats = link_stats_text(scenario.fabric());
-  return sig;
+  return run_gray(cfg);
 }
 
 TEST(ParallelFabricEquivalence, GraySeedsAndThreadCounts) {
@@ -175,14 +195,9 @@ RunSignature run_gray_profiled(int threads, std::uint64_t seed,
   cfg.threads = threads;
   net::GrayFabricScenario scenario(cfg);
   scenario.loop().telemetry().prof().set_enabled(true);
-  auto res = scenario.run();
-
-  RunSignature sig;
-  sig.events = join(res.events);
-  sig.metrics = scenario.loop().telemetry().metrics().snapshot_json();
-  sig.mfr = scenario.loop().telemetry().recorder().dump_text(
-      scenario.loop().now(), "equivalence");
-  sig.stats = link_stats_text(scenario.fabric());
+  const auto res = scenario.run();
+  const RunSignature sig =
+      sign(scenario.loop(), scenario.fabric(), res.events, nullptr);
 #if MANTIS_TELEMETRY_ENABLED
   // The profiler must actually have observed the run it didn't perturb.
   EXPECT_GT(scenario.loop().telemetry().prof().report().events, 0u)
@@ -212,20 +227,18 @@ TEST(ParallelFabricEquivalence, ProfilingScopesDoNotPerturbExecution) {
   }
 }
 
+RunSignature run_ecmp(const net::EcmpScenarioConfig& cfg) {
+  net::EcmpFabricScenario scenario(cfg);
+  const auto res = scenario.run();
+  return sign(scenario.loop(), scenario.fabric(), res.events,
+              scenario.int_fabric());
+}
+
 RunSignature run_ecmp(int threads, std::uint64_t seed) {
   net::EcmpScenarioConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
-  net::EcmpFabricScenario scenario(cfg);
-  auto res = scenario.run();
-
-  RunSignature sig;
-  sig.events = join(res.events);
-  sig.metrics = scenario.loop().telemetry().metrics().snapshot_json();
-  sig.mfr = scenario.loop().telemetry().recorder().dump_text(
-      scenario.loop().now(), "equivalence");
-  sig.stats = link_stats_text(scenario.fabric());
-  return sig;
+  return run_ecmp(cfg);
 }
 
 TEST(ParallelFabricEquivalence, EcmpScenario) {
@@ -245,27 +258,20 @@ TEST(ParallelFabricEquivalence, EcmpScenario) {
 // shards via ShardLane) must match byte-for-byte, not just the counters.
 // ---------------------------------------------------------------------------
 
+RunSignature run_int_gray(const int_tel::IntGrayScenarioConfig& cfg) {
+  int_tel::IntGrayFabricScenario scenario(cfg);
+  const auto res = scenario.run();
+  return sign(scenario.loop(), scenario.fabric(), res.events,
+              &scenario.int_fabric());
+}
+
 RunSignature run_int_gray(int threads, std::uint64_t seed,
                           double fault_loss = 1.0) {
   int_tel::IntGrayScenarioConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.fault_loss = fault_loss;
-  int_tel::IntGrayFabricScenario scenario(cfg);
-  auto res = scenario.run();
-
-  RunSignature sig;
-  sig.events = join(res.events);
-  std::size_t cursor = 0;
-  for (const auto* rep : scenario.int_fabric().collector().poll(cursor)) {
-    sig.events += rep->render();
-    sig.events += '\n';
-  }
-  sig.metrics = scenario.loop().telemetry().metrics().snapshot_json();
-  sig.mfr = scenario.loop().telemetry().recorder().dump_text(
-      scenario.loop().now(), "equivalence");
-  sig.stats = link_stats_text(scenario.fabric());
-  return sig;
+  return run_int_gray(cfg);
 }
 
 TEST(ParallelFabricEquivalence, IntGrayScenario) {
@@ -293,6 +299,121 @@ TEST(ParallelFabricEquivalence, IntGrayPartialLoss) {
   EXPECT_EQ(par.events, base.events);
   EXPECT_EQ(par.metrics, base.metrics);
   EXPECT_EQ(par.stats, base.stats);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: the equivalence tests above compare thread counts within one
+// build; these pin each scenario's outputs across commits. Each row holds
+// FNV-1a 64 digests of the signature surfaces, recorded from a known-good
+// build. A refactor that must stay byte-identical keeps every row passing;
+// a change that moves outputs on purpose re-records the rows (see
+// docs/TESTING.md) and says why.
+// ---------------------------------------------------------------------------
+
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
+  return out;
+}
+
+struct GoldenPin {
+  const char* name;
+  std::function<RunSignature()> run;
+  const char* events;
+  const char* metrics;
+  const char* mfr;
+  const char* stats;
+};
+
+TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
+  const std::vector<GoldenPin> pins = {
+      {"gray default seed 11",
+       [] {
+         net::GrayScenarioConfig c;
+         c.seed = 11;
+         return run_gray(c);
+       },
+       "2694460de683ed48", "b0ff030a50036cbe", "5952a160ed239ad5",
+       "8848712695ca3e1c"},
+      {"gray 0.9 loss seed 21",
+       [] {
+         net::GrayScenarioConfig c;
+         c.seed = 21;
+         c.fault_loss = 0.9;
+         return run_gray(c);
+       },
+       "4dd2b5b6e2824c4c", "ad4e93ce09cbcea0", "c16ddd4901ff2488",
+       "c15b14cf3c3fd086"},
+      {"gray int_enable every 2 seed 7",
+       [] {
+         net::GrayScenarioConfig c;
+         c.seed = 7;
+         c.int_enable = true;
+         c.int_sample_every = 2;
+         return run_gray(c);
+       },
+       "06d824fb52a931ed", "7c7fc9e81fa6e9b8", "6b7695e6a2ece4f0",
+       "88d54546a16792bf"},
+      {"gray paced 5us async_push threads 4 seed 3",
+       [] {
+         net::GrayScenarioConfig c;
+         c.seed = 3;
+         c.pacing = 5 * kMicrosecond;
+         c.agent.async_push = true;
+         c.threads = 4;
+         return run_gray(c);
+       },
+       "b791629fd29ad6c1", "24abc7fa3f046fb9", "adf81bc13c7a6112",
+       "ff60147e808ecb19"},
+      {"ecmp default", [] { return run_ecmp(net::EcmpScenarioConfig{}); },
+       "57b967ce1da85a37", "31aeda4a75e9827d", "18c1584e9031f63d",
+       "4a35d885b9f36d32"},
+      {"ecmp int_enable every 2",
+       [] {
+         net::EcmpScenarioConfig c;
+         c.int_enable = true;
+         c.int_sample_every = 2;
+         return run_ecmp(c);
+       },
+       "1f4a76ffdc094fb2", "1bdeb8bf42c00106", "b90b2b812f5bdaa7",
+       "517fd639bbbf1cee"},
+      {"intgray total loss seed 1",
+       [] { return run_int_gray(int_tel::IntGrayScenarioConfig{}); },
+       "c65a3e77ac095d06", "25534d3bddda86b9", "82e6ffb5b442528b",
+       "63d4768c367dd224"},
+      {"intgray 0.35 loss seed 2",
+       [] {
+         int_tel::IntGrayScenarioConfig c;
+         c.seed = 2;
+         c.fault_loss = 0.35;
+         return run_int_gray(c);
+       },
+       "989a69abb0addd82", "cdc1cf96f44e17ef", "eea5a0ee85aff5fa",
+       "7a7c86e81644abc2"},
+  };
+  for (const auto& pin : pins) {
+    const RunSignature sig = pin.run();
+    const std::string events = fnv1a_hex(sig.events);
+    const std::string metrics = fnv1a_hex(sig.metrics);
+    const std::string mfr = fnv1a_hex(sig.mfr);
+    const std::string stats = fnv1a_hex(sig.stats);
+    EXPECT_EQ(events, pin.events) << pin.name << ": events";
+    EXPECT_EQ(metrics, pin.metrics) << pin.name << ": metrics";
+    EXPECT_EQ(mfr, pin.mfr) << pin.name << ": mfr";
+    EXPECT_EQ(stats, pin.stats) << pin.name << ": stats";
+    // One paste-ready row per pin whose digests moved.
+    if (events != pin.events || metrics != pin.metrics || mfr != pin.mfr ||
+        stats != pin.stats) {
+      ADD_FAILURE() << pin.name << " now reads: \"" << events << "\", \""
+                    << metrics << "\", \"" << mfr << "\", \"" << stats
+                    << "\"";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
