@@ -13,43 +13,58 @@
 //      the parallel engine actually runs rounds and shard stats populate)
 //
 // Deterministic: the same seed reproduces the event log and metrics
-// byte-for-byte. Exits nonzero if delivery never restores (smoke check).
+// byte-for-byte. Exits 1 if delivery never restores (smoke check) and 2,
+// after one "error:" line, on a bad flag or scenario setting.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "flags.hpp"
 #include "int/int_fabric.hpp"
 #include "net/scenarios.hpp"
 #include "telemetry/telemetry.hpp"
 
-int main(int argc, char** argv) {
-  using namespace mantis;
+namespace {
 
+using namespace mantis;
+using examples::flag_value;
+using examples::parse_number;
+
+int run(int argc, char** argv) {
   std::string metrics_path, trace_path, mfr_path, prof_path;
   net::GrayScenarioConfig cfg;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      cfg.seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--mfr") == 0) mfr_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--prof") == 0) prof_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--loss") == 0) {
-      cfg.fault_loss = std::strtod(argv[i + 1], nullptr);
-    }
-    if (std::strcmp(argv[i], "--pacing-us") == 0) {
-      cfg.pacing = std::strtoll(argv[i + 1], nullptr, 10) * kMicrosecond;
-    }
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.threads = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
-    }
-    if (std::strcmp(argv[i], "--int") == 0) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const char* v = flag_value(argc, argv, i);
+    if (flag == "--seed") {
+      cfg.seed = parse_number<std::uint64_t>("--seed", v);
+    } else if (flag == "--metrics") {
+      metrics_path = v;
+    } else if (flag == "--trace") {
+      trace_path = v;
+    } else if (flag == "--mfr") {
+      mfr_path = v;
+    } else if (flag == "--prof") {
+      prof_path = v;
+    } else if (flag == "--loss") {
+      cfg.fault_loss = parse_number<double>("--loss", v);
+    } else if (flag == "--pacing-us") {
+      const auto us = parse_number<Duration>("--pacing-us", v);
+      if (us < 0 || us > std::numeric_limits<Duration>::max() / kMicrosecond) {
+        throw std::invalid_argument("--pacing-us: out of range");
+      }
+      cfg.pacing = us * kMicrosecond;
+    } else if (flag == "--threads") {
+      cfg.threads = parse_number<int>("--threads", v);
+    } else if (flag == "--int") {
       cfg.int_enable = true;
-      cfg.int_sample_every = static_cast<std::uint32_t>(
-          std::max(1L, std::strtol(argv[i + 1], nullptr, 10)));
+      cfg.int_sample_every =
+          std::max(1u, parse_number<std::uint32_t>("--int", v));
+    } else {
+      throw std::invalid_argument("unknown flag " + flag);
     }
   }
 
@@ -146,4 +161,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -10,38 +10,47 @@
 //   $ ./example_fabric_ecmp --seed 7 --metrics m.json
 //   $ ./example_fabric_ecmp --int 2   # INT on ~1/2 of the NAT'd flows
 //
-// Exits nonzero if the fabric never rebalances (smoke check).
+// Exits 1 if the fabric never rebalances (smoke check) and 2, after one
+// "error:" line, on a bad flag or scenario setting.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <stdexcept>
 #include <string>
 
+#include "flags.hpp"
 #include "int/int_fabric.hpp"
 #include "net/scenarios.hpp"
 #include "telemetry/telemetry.hpp"
 
-int main(int argc, char** argv) {
-  using namespace mantis;
+namespace {
 
+using namespace mantis;
+using examples::flag_value;
+using examples::parse_number;
+
+int run(int argc, char** argv) {
   std::string metrics_path, prof_path;
   net::EcmpScenarioConfig cfg;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      cfg.seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--prof") == 0) prof_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--flows") == 0) {
-      cfg.flows = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      cfg.threads = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--int") == 0) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const char* v = flag_value(argc, argv, i);
+    if (flag == "--seed") {
+      cfg.seed = parse_number<std::uint64_t>("--seed", v);
+    } else if (flag == "--metrics") {
+      metrics_path = v;
+    } else if (flag == "--prof") {
+      prof_path = v;
+    } else if (flag == "--flows") {
+      cfg.flows = parse_number<int>("--flows", v);
+    } else if (flag == "--threads") {
+      cfg.threads = parse_number<int>("--threads", v);
+    } else if (flag == "--int") {
       cfg.int_enable = true;
       cfg.int_sample_every =
-          static_cast<std::uint32_t>(std::max(1, std::atoi(argv[i + 1])));
+          std::max(1u, parse_number<std::uint32_t>("--int", v));
+    } else {
+      throw std::invalid_argument("unknown flag " + flag);
     }
   }
 
@@ -91,4 +100,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

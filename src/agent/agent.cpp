@@ -8,6 +8,10 @@ namespace mantis::agent {
 
 namespace {
 constexpr std::uint64_t kFullMask = ~std::uint64_t{0};
+/// Virtual CPU cost charged for a native reaction body that names none.
+constexpr Duration kNativeReactionCost = 1000;
+/// Virtual CPU cost per interpreted reaction step.
+constexpr Duration kInterpStepCost = 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -474,11 +478,11 @@ void Agent::run_one_reaction(ReactionRt& rt) {
   Duration cost = 0;
   if (rt.use_native) {
     rt.native(ctx);
-    cost = rt.native_cost > 0 ? rt.native_cost : opts_.native_reaction_cost;
+    cost = rt.native_cost > 0 ? rt.native_cost : kNativeReactionCost;
   } else {
     InterpEnv env(ctx, rt.info->name);
     const auto steps = rt.interp->run(params, env);
-    cost = static_cast<Duration>(steps) * opts_.interp_step_cost;
+    cost = static_cast<Duration>(steps) * kInterpStepCost;
   }
   // Charge the reaction's CPU time; the data plane keeps running meanwhile.
   loop().run_until(loop().now() + cost);

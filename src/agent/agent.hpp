@@ -40,10 +40,6 @@ struct AgentOptions {
   /// Virtual `nanosleep` between iterations; trades reaction time for CPU
   /// utilization (paper Fig 11). 0 = busy loop.
   Duration pacing_sleep = 0;
-  /// Default virtual CPU cost charged for a native reaction body.
-  Duration native_reaction_cost = 1000;
-  /// Virtual CPU cost per interpreted reaction step.
-  Duration interp_step_cost = 2;
   /// Ablation: disable the timestamp-guarded register cache (§5.2).
   bool register_cache = true;
   /// Flip vv (and refresh the master entry) every iteration, as in the §6

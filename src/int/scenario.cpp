@@ -1,135 +1,29 @@
 #include "int/scenario.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <deque>
 #include <utility>
 
-#include "apps/gray_failure.hpp"
-#include "net/engine.hpp"
 #include "util/check.hpp"
 
 namespace mantis::int_tel {
 
-namespace {
-
-/// Self-rescheduling host sender (same shape as the gray scenario's).
-struct HostSendTick {
-  sim::EventLoop* loop = nullptr;
-  net::Fabric* fabric = nullptr;
-  net::NodeId host = -1;
-  Duration period = 0;
-  Time until = 0;
-  std::shared_ptr<std::function<sim::Packet()>> make;
-
-  void operator()() const {
-    if (loop->now() > until) return;
-    fabric->host_at(host).send((*make)());
-    loop->schedule_in(period, *this);
-  }
-};
-
-struct SampleTick {
-  sim::EventLoop* loop = nullptr;
-  net::Fabric* fabric = nullptr;
-  Duration period = 0;
-  Time until = 0;
-
-  void operator()() const {
-    if (loop->now() > until) return;
-    fabric->sample_telemetry();
-    loop->schedule_in(period, *this);
-  }
-};
-
-/// End-to-end delivery tracker (see net/scenarios.cpp for the semantics:
-/// restoration = first packet of K consecutive post-fault seqs).
-struct DeliveryTracker {
-  Time fault_at = 0;
-  std::size_t k = 4;
-  std::vector<Time> sent_at;
-  std::uint64_t delivered = 0;
-  std::uint64_t delivered_before_fault = 0;
-  Time restored_at = -1;
-  std::deque<std::pair<std::uint64_t, Time>> recent;
-
-  void on_receive(std::uint64_t seq, Time sent_time, Time rx_time) {
-    ++delivered;
-    if (sent_time >= 0 && sent_time < fault_at) {
-      ++delivered_before_fault;
-      recent.clear();
-      return;
-    }
-    recent.emplace_back(seq, rx_time);
-    if (recent.size() > k) recent.pop_front();
-    if (restored_at >= 0 || recent.size() < k) return;
-    for (std::size_t i = 1; i < recent.size(); ++i) {
-      if (recent[i].first != recent[i - 1].first + 1) return;
-    }
-    restored_at = recent.front().second;
-  }
-};
-
-std::vector<std::string> merge_events(std::vector<std::string> a,
-                                      const std::vector<std::string>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::stable_sort(a.begin(), a.end(),
-                   [](const std::string& x, const std::string& y) {
-                     return std::strtoll(x.c_str(), nullptr, 10) <
-                            std::strtoll(y.c_str(), nullptr, 10);
-                   });
-  return a;
-}
-
-}  // namespace
-
 IntGrayFabricScenario::IntGrayFabricScenario(IntGrayScenarioConfig cfg)
-    : cfg_(std::move(cfg)) {
+    // Same program as the heartbeat scenario (route table + tally): the INT
+    // reaction rides the same gf_react slot, which keeps the head-to-head
+    // comparison apples-to-apples on the data plane.
+    : FabricScenario(cfg.leaves, cfg.spines, /*hosts_per_leaf=*/1,
+                     gray_failure_program, cfg.seed, /*faults=*/true,
+                     /*int_sample_every=*/1u),
+      cfg_(std::move(cfg)) {
   expects(cfg_.leaves >= 3,
           "IntGrayFabricScenario: tomography needs >= 3 leaves (see config)");
-  expects(cfg_.spines >= 2, "IntGrayFabricScenario: need an alternate spine");
-  expects(cfg_.hosts_per_leaf >= 1, "IntGrayFabricScenario: need hosts");
-  net::Topology topo =
-      net::Topology::leaf_spine(cfg_.leaves, cfg_.spines, cfg_.hosts_per_leaf);
-
-  // Same program as the heartbeat scenario (route table + tally), sized to
-  // the widest switch: the INT reaction rides the same gf_react slot, which
-  // keeps the head-to-head comparison apples-to-apples on the data plane.
-  int monitored = 8;
-  for (net::NodeId n = 0; n < topo.num_switches; ++n) {
-    for (const int p : topo.switch_facing_ports(n)) {
-      if (p + 1 > monitored) monitored = p + 1;
-    }
-  }
-  artifacts_ = compile::compile_source(apps::gray_failure_p4r_source(monitored));
-
-  net::FabricConfig fc;
-  fc.switch_cfg = cfg_.switch_cfg;
-  fc.default_link = cfg_.link;
-  fc.base_seed = cfg_.seed;
-  fabric_ = std::make_unique<net::Fabric>(loop_, artifacts_.prog,
-                                          std::move(topo), fc);
-  injector_ = std::make_unique<net::FaultInjector>(*fabric_);
-
-  IntFabricConfig ic;
-  ic.sample_every = cfg_.sample_every;
-  int_fabric_ = std::make_unique<IntFabric>(*fabric_, ic);
-
-  net::HarnessOptions hopts;
-  hopts.agent.pacing_sleep = cfg_.pacing;
-  harness_ = std::make_unique<net::FabricAgentHarness>(*fabric_, artifacts_,
-                                                       hopts);
-  harness_->add_all_switches();
-
-  cfg_.ig.probe_period = cfg_.probe_period;
   state_ = std::make_shared<apps::IntGrayState>();
-  state_->cfg = cfg_.ig;
   state_->topo = fabric_->topo();
   state_->collector = &int_fabric_->collector();
   state_->analyzer_node = 0;
   state_->on_localize = [this](int a, int b, Time t) {
-    events_.push_back(std::to_string(t) + " localize link n" +
-                      std::to_string(a) + "-n" + std::to_string(b));
+    log_event(t, "localize link n" + std::to_string(a) + "-n" +
+                     std::to_string(b));
     if (localized_at_ < 0) {
       localized_at_ = t;
       localized_a_ = a;
@@ -137,8 +31,7 @@ IntGrayFabricScenario::IntGrayFabricScenario(IntGrayScenarioConfig cfg)
     }
   };
   state_->on_routes_installed = [this](net::NodeId n, Time t) {
-    events_.push_back(std::to_string(t) + " n" + std::to_string(n) +
-                      " reroute");
+    log_event(t, "n" + std::to_string(n) + " reroute");
     if (n == 0 && rerouted_at_ < 0) rerouted_at_ = t;
   };
   for (net::NodeId n = 0; n < fabric_->num_switches(); ++n) {
@@ -147,97 +40,36 @@ IntGrayFabricScenario::IntGrayFabricScenario(IntGrayScenarioConfig cfg)
   }
 }
 
-IntGrayFabricScenario::~IntGrayFabricScenario() = default;
-
 IntGrayScenarioResult IntGrayFabricScenario::run() {
   expects(!ran_, "IntGrayFabricScenario::run: single-shot");
   ran_ = true;
 
-  const auto& topo = fabric_->topo();
-  const net::NodeId src_host = topo.num_switches;  // first host of leaf 0
-  const net::NodeId dst_host = topo.num_switches + cfg_.hosts_per_leaf;
-  const std::uint32_t src_addr = fabric_->host_at(src_host).address();
-  const std::uint32_t dst_addr = fabric_->host_at(dst_host).address();
-
-  const auto initial_routes = topo.compute_routes_from(0, {});
-  const int faulted_port = initial_routes.at(dst_addr);
-  expects(faulted_port >= 0, "IntGrayFabricScenario: destination unreachable");
-  const int fault_link = topo.link_at(0, faulted_port);
-  expects(fault_link >= 0, "IntGrayFabricScenario: no link on faulted port");
-
-  if (cfg_.inject_fault) {
-    net::FaultSpec fault;
-    fault.kind = net::FaultSpec::Kind::kGrayLoss;
-    fault.link = static_cast<std::size_t>(fault_link);
-    fault.direction = -1;
-    fault.at = cfg_.fault_at;
-    fault.duration = 0;
-    fault.loss = cfg_.fault_loss;
-    injector_->schedule(fault);
-  }
+  const FaultSite fault = schedule_first_hop_fault(
+      cfg_.fault_at, cfg_.fault_loss, cfg_.inject_fault);
 
   // The probe mesh replaces the heartbeat mesh. Probes flowing during the
   // prologue are dropped by the not-yet-installed route tables, which only
   // delays the tomography's first full window.
-  int_fabric_->start_probes(cfg_.probe_period, cfg_.run_until);
+  int_fabric_->start_probes(state_->cfg.probe_period, cfg_.run_until);
   state_->paths = int_fabric_->probe_paths();
 
   harness_->run_prologue([this](net::NodeId node, agent::ReactionContext& ctx) {
     state_->install_initial_routes(node, ctx);
   });
-  expects(loop_.now() < cfg_.fault_at,
-          "IntGrayFabricScenario: prologues overran fault_at; raise fault_at");
 
-  auto tracker = std::make_shared<DeliveryTracker>();
-  tracker->fault_at = cfg_.fault_at;
-  tracker->k = static_cast<std::size_t>(cfg_.restore_consecutive);
-  HostSendTick tick{
-      &loop_, fabric_.get(), src_host, cfg_.traffic_period, cfg_.run_until,
-      std::make_shared<std::function<sim::Packet()>>(
-          [this, tracker, src_addr, dst_addr]() {
-            auto pkt = fabric_->factory().make(cfg_.traffic_bytes);
-            fabric_->factory().set(pkt, "ipv4.srcAddr", src_addr);
-            fabric_->factory().set(pkt, "ipv4.dstAddr", dst_addr);
-            fabric_->factory().set(pkt, "ipv4.protocol", 6);
-            fabric_->factory().set(pkt, "ipv4.totalLen", tracker->sent_at.size());
-            tracker->sent_at.push_back(loop_.now());
-            return pkt;
-          })};
-  fabric_->schedule_for_node(src_host, loop_.now() + cfg_.traffic_period, tick);
-  fabric_->host_at(dst_host).set_on_receive(
-      [this, tracker](const sim::Packet& pkt, Time t) {
-        // INT probes also land here (stripped); only sequenced data counts.
-        if (fabric_->factory().get(pkt, "ipv4.protocol") == 254) return;
-        const Time before = tracker->restored_at;
-        tracker->on_receive(fabric_->factory().get(pkt, "ipv4.totalLen"),
-                            pkt.origin_time(), t);
-        if (before < 0 && tracker->restored_at >= 0) {
-          events_.push_back(std::to_string(tracker->restored_at) +
-                            " delivery restored");
-        }
-      });
-
-  loop_.schedule_in(cfg_.telemetry_window,
-                    SampleTick{&loop_, fabric_.get(), cfg_.telemetry_window,
-                               cfg_.run_until});
-  std::unique_ptr<net::ParallelFabricEngine> engine;
-  if (cfg_.threads > 1) {
-    engine = std::make_unique<net::ParallelFabricEngine>(*fabric_, cfg_.threads);
-    harness_->set_engine([&e = *engine](Time t) { e.run_until(t); });
-  }
-  harness_->run_until(cfg_.run_until);
-  harness_->set_engine({});
-  fabric_->sample_telemetry();
+  const auto tracker = start_sequenced_traffic(
+      cfg_.fault_at, cfg_.restore_consecutive, cfg_.run_until);
+  run_fabric(cfg_.run_until, cfg_.threads);
 
   IntGrayScenarioResult res;
   res.fault_at = cfg_.fault_at;
   res.fault_link_name =
-      fabric_->link(static_cast<std::size_t>(fault_link)).name();
-  res.faulted_port = faulted_port;
+      fabric_->link(static_cast<std::size_t>(fault.link)).name();
+  res.faulted_port = fault.port;
   res.localized_at = localized_at_;
   res.localized_a = localized_a_;
   res.localized_b = localized_b_;
-  const auto& fl = topo.links[static_cast<std::size_t>(fault_link)];
+  const auto& fl = fabric_->topo().links[static_cast<std::size_t>(fault.link)];
   res.localized_correct =
       localized_at_ >= 0 &&
       std::minmax(fl.a, fl.b) == std::minmax(localized_a_, localized_b_);
@@ -254,19 +86,15 @@ IntGrayScenarioResult IntGrayFabricScenario::run() {
   res.probe_wire_bytes =
       res.probes_sent *
       (int_fabric_->config().probe_bytes + kHeaderBytes + kHopBytes);
-  res.events = merge_events(injector_->log(), events_);
+  res.events = merged_events();
 
-  auto& metrics = loop_.telemetry().metrics();
-  auto us = [](Time from, Time to) {
-    return to < 0 ? -1.0 : static_cast<double>(to - from) / kMicrosecond;
-  };
-  metrics.gauge("net.scenario.intgray.localized_us")
-      .set(us(res.fault_at, res.localized_at));
-  metrics.gauge("net.scenario.intgray.rerouted_us")
-      .set(us(res.fault_at, res.rerouted_at));
-  metrics.gauge("net.scenario.intgray.restored_us")
-      .set(us(res.fault_at, res.restored_at));
-  metrics.gauge("net.scenario.intgray.reports")
+  set_us_gauge("net.scenario.intgray.localized_us", res.fault_at,
+               res.localized_at);
+  set_us_gauge("net.scenario.intgray.rerouted_us", res.fault_at,
+               res.rerouted_at);
+  set_us_gauge("net.scenario.intgray.restored_us", res.fault_at,
+               res.restored_at);
+  loop_.telemetry().metrics().gauge("net.scenario.intgray.reports")
       .set(static_cast<double>(res.int_reports));
   return res;
 }

@@ -21,11 +21,8 @@
 #include <vector>
 
 #include "apps/int_gray_localization.hpp"
-#include "compile/compiler.hpp"
 #include "int/int_fabric.hpp"
-#include "net/fabric.hpp"
-#include "net/fault.hpp"
-#include "net/harness.hpp"
+#include "net/scenarios.hpp"
 
 namespace mantis::int_tel {
 
@@ -36,15 +33,7 @@ struct IntGrayScenarioConfig {
   /// cross-paths.
   int leaves = 3;
   int spines = 2;
-  int hosts_per_leaf = 1;
-  net::LinkModel link;
-  sim::SwitchConfig switch_cfg;
   std::uint64_t seed = 1;
-
-  Duration probe_period = 2 * kMicrosecond;
-  Duration traffic_period = 1 * kMicrosecond;
-  std::uint32_t traffic_bytes = 1000;
-  std::uint32_t sample_every = 1;  ///< data-flow INT sampling
 
   /// Five switches' prologues take longer than the four-switch gray
   /// scenario's, hence the later default fault time.
@@ -52,12 +41,9 @@ struct IntGrayScenarioConfig {
   double fault_loss = 1.0;
   bool inject_fault = true;
 
-  Duration pacing = 0;
   int threads = 1;  ///< fabric-engine workers (1 = sequential, same results)
   Time run_until = 500 * kMicrosecond;
-  Duration telemetry_window = 50 * kMicrosecond;
 
-  apps::IntGrayConfig ig;
   int restore_consecutive = 4;
 };
 
@@ -93,36 +79,24 @@ struct IntGrayScenarioResult {
   }
 };
 
-class IntGrayFabricScenario {
+class IntGrayFabricScenario : public net::FabricScenario {
  public:
   explicit IntGrayFabricScenario(IntGrayScenarioConfig cfg = {});
-  ~IntGrayFabricScenario();
 
   /// Single-shot. Publishes net.scenario.intgray.{localized_us,rerouted_us,
   /// restored_us,reports} gauges on the loop's registry.
   IntGrayScenarioResult run();
 
-  sim::EventLoop& loop() { return loop_; }
-  net::Fabric& fabric() { return *fabric_; }
   net::FaultInjector& injector() { return *injector_; }
-  net::FabricAgentHarness& harness() { return *harness_; }
   IntFabric& int_fabric() { return *int_fabric_; }
 
  private:
   IntGrayScenarioConfig cfg_;
-  sim::EventLoop loop_;
-  compile::Artifacts artifacts_;
-  std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<net::FaultInjector> injector_;
-  std::unique_ptr<net::FabricAgentHarness> harness_;
-  std::unique_ptr<IntFabric> int_fabric_;
   std::shared_ptr<apps::IntGrayState> state_;
-  std::vector<std::string> events_;
   Time localized_at_ = -1;
   int localized_a_ = -1;
   int localized_b_ = -1;
   Time rerouted_at_ = -1;
-  bool ran_ = false;
 };
 
 }  // namespace mantis::int_tel

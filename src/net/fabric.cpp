@@ -186,6 +186,21 @@ struct PeriodicTick {
   }
 };
 
+/// Self-rescheduling host sender, the host-side twin of PeriodicTick.
+struct HostSendTick {
+  sim::EventLoop* loop;
+  Host* host;
+  Duration period;
+  Time until;
+  std::shared_ptr<std::function<sim::Packet()>> make;
+
+  void operator()() const {
+    if (loop->now() > until) return;
+    host->send((*make)());
+    loop->schedule_in(period, *this);
+  }
+};
+
 }  // namespace
 
 void Fabric::start_periodic(NodeId from, NodeId to, Duration period,
@@ -197,6 +212,17 @@ void Fabric::start_periodic(NodeId from, NodeId to, Duration period,
   // the link (busy_until, Rng), which that shard owns. Reschedules inherit
   // the tag via schedule_in.
   schedule_for_node(from, loop_->now() + period, tick);
+}
+
+void Fabric::start_host_traffic(NodeId host, Duration period, Time until,
+                                std::function<sim::Packet()> make) {
+  expects(period > 0, "Fabric::start_host_traffic: period must be positive");
+  HostSendTick tick{loop_, &host_at(host), period, until,
+                    std::make_shared<std::function<sim::Packet()>>(std::move(make))};
+  // Pinned to the host's shard: the tick mutates host tx state and the
+  // uplink's sender direction, both owned by the uplink switch's shard.
+  // Reschedules inherit the tag via schedule_in.
+  schedule_for_node(host, loop_->now() + period, tick);
 }
 
 void Fabric::deliver_from(NodeId node, int port, sim::Packet pkt) {

@@ -106,6 +106,11 @@ class Fabric {
   void start_periodic(NodeId from, NodeId to, Duration period, Time until,
                       std::function<sim::Packet()> make);
 
+  /// Host-side twin of start_periodic: `host` sends `make()` packets every
+  /// `period` until `until` (first send after one period).
+  void start_host_traffic(NodeId host, Duration period, Time until,
+                          std::function<sim::Packet()> make);
+
   /// Refreshes the windowed telemetry gauges (per-link-direction
   /// utilization = serialization occupancy since the previous sample).
   /// Call at sampling instants; never scheduled internally so `loop.run()`

@@ -2,27 +2,27 @@
 
 #include <utility>
 
+#include "net/engine.hpp"
 #include "util/check.hpp"
 
 namespace mantis::net {
 
 FabricAgentHarness::FabricAgentHarness(Fabric& fabric,
                                        const compile::Artifacts& artifacts,
-                                       HarnessOptions opts)
-    : fabric_(&fabric), artifacts_(&artifacts), opts_(std::move(opts)) {
+                                       agent::AgentOptions agent)
+    : fabric_(&fabric), artifacts_(&artifacts), agent_opts_(std::move(agent)) {
   // The harness owns pacing so sleeps overlap across agents; an agent-level
   // pacing_sleep would advance the shared clock with every other agent idle.
-  pacing_ = opts_.agent.pacing_sleep;
-  opts_.agent.pacing_sleep = 0;
+  pacing_ = agent_opts_.pacing_sleep;
+  agent_opts_.pacing_sleep = 0;
 }
 
 agent::Agent& FabricAgentHarness::add_agent(NodeId node) {
   expects(!has_agent(node), "FabricAgentHarness: agent already attached");
   Member m;
   m.node = node;
-  m.driver = std::make_unique<driver::Driver>(fabric_->switch_at(node),
-                                              opts_.driver);
-  m.agent = std::make_unique<agent::Agent>(*m.driver, *artifacts_, opts_.agent);
+  m.driver = std::make_unique<driver::Driver>(fabric_->switch_at(node));
+  m.agent = std::make_unique<agent::Agent>(*m.driver, *artifacts_, agent_opts_);
   m.next_due = fabric_->loop().now();
   members_.push_back(std::move(m));
   nodes_.push_back(node);
@@ -79,28 +79,21 @@ void FabricAgentHarness::run_prologue(
   }
 }
 
-void FabricAgentHarness::run_until(Time t) {
+void FabricAgentHarness::run_until(Time t, ParallelFabricEngine& engine) {
   auto& loop = fabric_->loop();
-  const auto drain = [&](Time until) {
-    if (engine_run_until_) {
-      engine_run_until_(until);
-    } else {
-      loop.run_until(until);
-    }
-  };
   while (!members_.empty()) {
     Member* next = nullptr;
     for (auto& m : members_) {
       if (next == nullptr || m.next_due < next->next_due) next = &m;
     }
     if (next->next_due >= t) break;
-    if (next->next_due > loop.now()) drain(next->next_due);
+    if (next->next_due > loop.now()) engine.run_until(next->next_due);
     next->agent->dialogue_iteration();
     ++next->iterations;
     next->next_due = loop.now() + pacing_;
   }
   // The last iteration may already have overrun `t`.
-  if (t > loop.now()) drain(t);
+  if (t > loop.now()) engine.run_until(t);
 }
 
 std::uint64_t FabricAgentHarness::iterations(NodeId node) const {

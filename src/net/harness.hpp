@@ -23,20 +23,17 @@
 
 namespace mantis::net {
 
-struct HarnessOptions {
-  /// Per-agent options. `pacing_sleep` is lifted out and applied by the
-  /// harness scheduler (between an agent's iterations, overlapping other
-  /// agents) rather than inside each agent (which would serialize sleeps).
-  agent::AgentOptions agent;
-  driver::DriverOptions driver;
-};
+class ParallelFabricEngine;
 
 class FabricAgentHarness {
  public:
   /// `artifacts` (shared by every switch: homogeneous fabric) must outlive
-  /// the harness.
+  /// the harness. `agent` applies to every agent, except that its
+  /// `pacing_sleep` is lifted out and applied by the harness scheduler
+  /// (between an agent's iterations, overlapping other agents) rather than
+  /// inside each agent (which would serialize sleeps).
   FabricAgentHarness(Fabric& fabric, const compile::Artifacts& artifacts,
-                     HarnessOptions opts = {});
+                     agent::AgentOptions agent = {});
 
   /// Attaches a driver + agent to one switch. Order of addition is the
   /// scheduler's tie-break order.
@@ -56,16 +53,10 @@ class FabricAgentHarness {
 
   /// Interleaves dialogue iterations across agents until virtual time `t`:
   /// repeatedly runs the earliest-due agent, then drains remaining events
-  /// up to `t`.
-  void run_until(Time t);
-
-  /// Replaces the event-draining step of run_until (EventLoop::run_until by
-  /// default) — the hook the parallel fabric engine installs. Dialogue
-  /// iterations themselves always run inline on the calling thread, between
-  /// engine rounds; driver waits inside an iteration drain sequentially.
-  void set_engine(std::function<void(Time)> run_events_until) {
-    engine_run_until_ = std::move(run_events_until);
-  }
+  /// up to `t` through `engine`. Dialogue iterations themselves always run
+  /// inline on the calling thread, between engine rounds; driver waits
+  /// inside an iteration drain sequentially.
+  void run_until(Time t, ParallelFabricEngine& engine);
 
   std::uint64_t iterations(NodeId node) const;
   std::uint64_t total_iterations() const;
@@ -84,11 +75,10 @@ class FabricAgentHarness {
 
   Fabric* fabric_;
   const compile::Artifacts* artifacts_;
-  HarnessOptions opts_;
+  agent::AgentOptions agent_opts_;
   Duration pacing_ = 0;
   std::vector<Member> members_;
   std::vector<NodeId> nodes_;
-  std::function<void(Time)> engine_run_until_;
 };
 
 }  // namespace mantis::net

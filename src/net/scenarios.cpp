@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
-#include <memory>
 #include <utility>
 
 #include "int/int_fabric.hpp"
@@ -13,34 +11,6 @@
 namespace mantis::net {
 
 namespace {
-
-/// Self-rescheduling host sender (copies itself per firing; no ownership
-/// cycle, so the loop drains once `until` passes).
-struct HostSendTick {
-  sim::EventLoop* loop = nullptr;
-  Fabric* fabric = nullptr;
-  NodeId host = -1;
-  Duration period = 0;
-  Time until = 0;
-  std::shared_ptr<std::function<sim::Packet()>> make;
-
-  void operator()() const {
-    if (loop->now() > until) return;
-    fabric->host_at(host).send((*make)());
-    loop->schedule_in(period, *this);
-  }
-};
-
-void start_host_traffic(sim::EventLoop& loop, Fabric& fabric, NodeId host,
-                        Duration period, Time until,
-                        std::function<sim::Packet()> make) {
-  HostSendTick tick{&loop, &fabric, host, period, until,
-                    std::make_shared<std::function<sim::Packet()>>(std::move(make))};
-  // Pinned to the host's shard: the tick mutates host tx state and the
-  // uplink's sender direction, both owned by the uplink switch's shard.
-  // Reschedules inherit the tag via schedule_in.
-  fabric.schedule_for_node(host, loop.now() + period, tick);
-}
 
 /// Periodic windowed-utilization sampling (scenario-driven; the Fabric never
 /// schedules events itself).
@@ -57,22 +27,7 @@ struct SampleTick {
   }
 };
 
-void start_telemetry_sampling(sim::EventLoop& loop, Fabric& fabric,
-                              Duration period, Time until) {
-  loop.schedule_in(period, SampleTick{&loop, &fabric, period, until});
-}
-
-/// Merge per-source event lines ("<t_ns> ...") into one time-ordered log.
-std::vector<std::string> merge_events(std::vector<std::string> a,
-                                      const std::vector<std::string>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::stable_sort(a.begin(), a.end(),
-                   [](const std::string& x, const std::string& y) {
-                     return std::strtoll(x.c_str(), nullptr, 10) <
-                            std::strtoll(y.c_str(), nullptr, 10);
-                   });
-  return a;
-}
+constexpr Duration kTelemetryWindow = 50 * kMicrosecond;
 
 int port_toward(const Topology& topo, NodeId from, NodeId to) {
   const int li = topo.link_between(from, to);
@@ -89,98 +44,198 @@ NodeId leaf_of(const Topology& topo, NodeId host) {
   return l.a == host ? l.b : l.a;
 }
 
+std::optional<std::uint32_t> int_sampling(bool enable, std::uint32_t every) {
+  return enable ? std::optional<std::uint32_t>(every) : std::nullopt;
+}
+
+agent::AgentOptions paced(agent::AgentOptions agent, Duration pacing) {
+  agent.pacing_sleep = pacing;
+  return agent;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// DeliveryTracker
+// ---------------------------------------------------------------------------
+
+DeliveryTracker::DeliveryTracker(Time fault_at, int restore_consecutive)
+    : fault_at(fault_at), k(static_cast<std::size_t>(restore_consecutive)) {
+  expects(restore_consecutive >= 1,
+          "DeliveryTracker: restore_consecutive must be >= 1");
+}
+
+void DeliveryTracker::on_receive(std::uint64_t seq, Time sent_time,
+                                 Time rx_time) {
+  ++delivered;
+  if (sent_time >= 0 && sent_time < fault_at) {
+    ++delivered_before_fault;
+    recent.clear();  // a pre-fault straggler breaks any post-fault run
+    return;
+  }
+  recent.emplace_back(seq, rx_time);
+  if (recent.size() > k) recent.pop_front();
+  if (restored_at >= 0 || recent.size() < k) return;
+  for (std::size_t i = 1; i < recent.size(); ++i) {
+    if (recent[i].first != recent[i - 1].first + 1) return;
+  }
+  restored_at = recent.front().second;
+}
+
+// ---------------------------------------------------------------------------
+// FabricScenario
+// ---------------------------------------------------------------------------
+
+FabricScenario::FabricScenario(int leaves, int spines, int hosts_per_leaf,
+                               std::string (*program)(const Topology&),
+                               std::uint64_t seed, bool faults,
+                               std::optional<std::uint32_t> int_sample_every,
+                               const agent::AgentOptions& agent,
+                               const LinkModel& link,
+                               const sim::SwitchConfig& switch_cfg) {
+  expects(leaves >= 2 && spines >= 2,
+          "FabricScenario: need an alternate path (>=2 leaves, >=2 spines)");
+  Topology topo = Topology::leaf_spine(leaves, spines, hosts_per_leaf);
+  src_host_ = topo.num_switches;
+  dst_host_ = topo.num_switches + hosts_per_leaf;
+  artifacts_ = compile::compile_source(program(topo));
+  FabricConfig fc;
+  fc.switch_cfg = switch_cfg;
+  fc.default_link = link;
+  fc.base_seed = seed;
+  fabric_ = std::make_unique<Fabric>(loop_, artifacts_.prog, std::move(topo),
+                                     std::move(fc));
+  if (faults) injector_ = std::make_unique<FaultInjector>(*fabric_);
+  if (int_sample_every) {
+    int_tel::IntFabricConfig ic;
+    ic.sample_every = *int_sample_every;
+    int_fabric_ = std::make_unique<int_tel::IntFabric>(*fabric_, ic);
+  }
+  harness_ = std::make_unique<FabricAgentHarness>(*fabric_, artifacts_, agent);
+  harness_->add_all_switches();
+}
+
+FabricScenario::~FabricScenario() = default;
+
+std::string FabricScenario::gray_failure_program(const Topology& topo) {
+  int monitored = 8;
+  for (NodeId n = 0; n < topo.num_switches; ++n) {
+    for (const int p : topo.switch_facing_ports(n)) {
+      monitored = std::max(monitored, p + 1);
+    }
+  }
+  return apps::gray_failure_p4r_source(monitored);
+}
+
+FabricScenario::FaultSite FabricScenario::schedule_first_hop_fault(
+    Time at, double loss, bool inject) {
+  const auto& topo = fabric_->topo();
+  const std::uint32_t dst_addr = fabric_->host_at(dst_host_).address();
+  FaultSite site;
+  site.port = topo.compute_routes_from(0, {}).at(dst_addr);
+  expects(site.port >= 0, "FabricScenario: destination unreachable");
+  site.link = topo.link_at(0, site.port);
+  expects(site.link >= 0, "FabricScenario: no link on faulted port");
+
+  if (inject) {
+    FaultSpec fault;
+    fault.kind = FaultSpec::Kind::kGrayLoss;
+    fault.link = static_cast<std::size_t>(site.link);
+    fault.direction = -1;  // symmetric gray failure
+    fault.at = at;
+    fault.duration = 0;  // permanent; the reroute is the recovery
+    fault.loss = loss;
+    injector_->schedule(fault);
+  }
+  return site;
+}
+
+std::shared_ptr<const DeliveryTracker> FabricScenario::start_sequenced_traffic(
+    Time fault_at, int restore_consecutive, Time until) {
+  expects(loop_.now() < fault_at,
+          "FabricScenario: prologues overran fault_at; raise fault_at");
+  auto tracker = std::make_shared<DeliveryTracker>(fault_at, restore_consecutive);
+  const std::uint32_t src_addr = fabric_->host_at(src_host_).address();
+  const std::uint32_t dst_addr = fabric_->host_at(dst_host_).address();
+  fabric_->start_host_traffic(
+      src_host_, 1 * kMicrosecond, until,
+      [this, tracker, src_addr, dst_addr]() {
+        auto pkt = fabric_->factory().make(1000);
+        fabric_->factory().set(pkt, "ipv4.srcAddr", src_addr);
+        fabric_->factory().set(pkt, "ipv4.dstAddr", dst_addr);
+        fabric_->factory().set(pkt, "ipv4.protocol", 6);
+        fabric_->factory().set(pkt, "ipv4.totalLen", tracker->sent_at.size());
+        tracker->sent_at.push_back(loop_.now());
+        return pkt;
+      });
+  fabric_->host_at(dst_host_).set_on_receive(
+      [this, tracker](const sim::Packet& pkt, Time t) {
+        // INT probes also land here (stripped); only sequenced data counts.
+        if (fabric_->factory().get(pkt, "ipv4.protocol") == 254) return;
+        const Time before = tracker->restored_at;
+        tracker->on_receive(fabric_->factory().get(pkt, "ipv4.totalLen"),
+                            pkt.origin_time(), t);
+        if (before < 0 && tracker->restored_at >= 0) {
+          log_event(tracker->restored_at, "delivery restored");
+        }
+      });
+  return tracker;
+}
+
+void FabricScenario::run_fabric(Time until, int threads) {
+  loop_.schedule_in(kTelemetryWindow, SampleTick{&loop_, fabric_.get(),
+                                                 kTelemetryWindow, until});
+  ParallelFabricEngine engine(*fabric_, threads);
+  harness_->run_until(until, engine);
+  fabric_->sample_telemetry();
+}
+
+void FabricScenario::log_event(Time t, const std::string& what) {
+  events_.push_back(std::to_string(t) + " " + what);
+}
+
+std::vector<std::string> FabricScenario::merged_events() const {
+  std::vector<std::string> all;
+  if (injector_) all = injector_->log();
+  all.insert(all.end(), events_.begin(), events_.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const std::string& x, const std::string& y) {
+                     return std::strtoll(x.c_str(), nullptr, 10) <
+                            std::strtoll(y.c_str(), nullptr, 10);
+                   });
+  return all;
+}
+
+void FabricScenario::set_us_gauge(const std::string& name, Time from, Time to) {
+  loop_.telemetry().metrics().gauge(name).set(
+      to < 0 ? -1.0 : static_cast<double>(to - from) / kMicrosecond);
+}
 
 // ---------------------------------------------------------------------------
 // GrayFabricScenario
 // ---------------------------------------------------------------------------
 
-/// End-to-end delivery tracker shared between the sending and receiving
-/// hosts: restoration = the receive instant of the first packet in a run of
-/// K consecutive post-fault sequence numbers.
-struct GrayDeliveryTracker {
-  Time fault_at = 0;
-  std::size_t k = 4;
-  /// seq -> virtual send time. Written only on the *sending* host's shard
-  /// (and read back after the run); the receive path classifies packets by
-  /// their origin-time stamp instead of indexing here, so the two hosts'
-  /// shards never touch the same field concurrently.
-  std::vector<Time> sent_at;
-  std::uint64_t delivered = 0;
-  std::uint64_t delivered_before_fault = 0;
-  Time restored_at = -1;
-  std::deque<std::pair<std::uint64_t, Time>> recent;  ///< (seq, rx time)
-
-  void on_receive(std::uint64_t seq, Time sent_time, Time rx_time) {
-    ++delivered;
-    if (sent_time >= 0 && sent_time < fault_at) {
-      ++delivered_before_fault;
-      recent.clear();  // a pre-fault straggler breaks any post-fault run
-      return;
-    }
-    recent.emplace_back(seq, rx_time);
-    if (recent.size() > k) recent.pop_front();
-    if (restored_at >= 0 || recent.size() < k) return;
-    for (std::size_t i = 1; i < recent.size(); ++i) {
-      if (recent[i].first != recent[i - 1].first + 1) return;
-    }
-    restored_at = recent.front().second;
-  }
-};
-
 GrayFabricScenario::GrayFabricScenario(GrayScenarioConfig cfg)
-    : cfg_(std::move(cfg)) {
-  expects(cfg_.leaves >= 2 && cfg_.spines >= 2,
-          "GrayFabricScenario: need an alternate path (>=2 leaves, >=2 spines)");
-  expects(cfg_.hosts_per_leaf >= 1, "GrayFabricScenario: need hosts");
-  Topology topo =
-      Topology::leaf_spine(cfg_.leaves, cfg_.spines, cfg_.hosts_per_leaf);
-
-  // The shared program's heartbeat register must cover the widest switch's
-  // monitored (switch-facing) port range; small fabrics keep the classic
-  // 8-port reaction window.
-  int monitored = 8;
-  for (NodeId n = 0; n < topo.num_switches; ++n) {
-    const auto ports = topo.switch_facing_ports(n);
-    for (const int p : ports) {
-      if (p + 1 > monitored) monitored = p + 1;
-    }
-  }
-  artifacts_ = compile::compile_source(apps::gray_failure_p4r_source(monitored));
-  FabricConfig fc;
-  fc.switch_cfg = cfg_.switch_cfg;
-  fc.default_link = cfg_.link;
-  fc.base_seed = cfg_.seed;
-  fabric_ = std::make_unique<Fabric>(loop_, artifacts_.prog, std::move(topo), fc);
-  injector_ = std::make_unique<FaultInjector>(*fabric_);
-
-  if (cfg_.int_enable) {
-    int_tel::IntFabricConfig ic;
-    ic.sample_every = cfg_.int_sample_every;
-    int_fabric_ = std::make_unique<int_tel::IntFabric>(*fabric_, ic);
-  }
-
-  HarnessOptions hopts;
-  hopts.agent = cfg_.agent;
-  hopts.agent.pacing_sleep = cfg_.pacing;
-  harness_ = std::make_unique<FabricAgentHarness>(*fabric_, artifacts_, hopts);
-  harness_->add_all_switches();
-
+    : FabricScenario(cfg.leaves, cfg.spines, /*hosts_per_leaf=*/1,
+                     gray_failure_program, cfg.seed, /*faults=*/true,
+                     int_sampling(cfg.int_enable, cfg.int_sample_every),
+                     paced(cfg.agent, cfg.pacing), cfg.link, cfg.switch_cfg),
+      cfg_(std::move(cfg)) {
   for (NodeId n = 0; n < fabric_->num_switches(); ++n) {
     auto st = std::make_shared<apps::GrayFailureState>();
     st->cfg = cfg_.gf;
     st->cfg.num_ports = static_cast<int>(
         fabric_->topo().switch_facing_ports(n).size());
+    st->cfg.ts = cfg_.hb_period;
     st->topo = fabric_->topo();
     st->self_node = n;
     st->on_detect = [this, n](int port, Time t) {
-      events_.push_back(std::to_string(t) + " n" + std::to_string(n) +
-                        " detect port" + std::to_string(port));
+      log_event(t, "n" + std::to_string(n) + " detect port" +
+                       std::to_string(port));
       if (n == 0 && detected_at_ < 0) detected_at_ = t;
     };
     st->on_routes_installed = [this, n](Time t) {
-      events_.push_back(std::to_string(t) + " n" + std::to_string(n) +
-                        " reroute");
+      log_event(t, "n" + std::to_string(n) + " reroute");
       if (n == 0 && rerouted_at_ < 0) rerouted_at_ = t;
     };
     harness_->agent_at(n).set_native_reaction(
@@ -189,42 +244,18 @@ GrayFabricScenario::GrayFabricScenario(GrayScenarioConfig cfg)
   }
 }
 
-GrayFabricScenario::~GrayFabricScenario() = default;
-
 GrayScenarioResult GrayFabricScenario::run() {
   expects(!ran_, "GrayFabricScenario::run: single-shot");
   ran_ = true;
 
-  const auto& topo = fabric_->topo();
-  const NodeId src_host = topo.num_switches;  // first host of leaf 0
-  const NodeId dst_host = topo.num_switches + cfg_.hosts_per_leaf;  // leaf 1
-  const std::uint32_t src_addr = fabric_->host_at(src_host).address();
-  const std::uint32_t dst_addr = fabric_->host_at(dst_host).address();
-
-  // The fault hits the link the sender's traffic actually crosses: leaf 0's
-  // initial first hop toward the destination.
-  const auto initial_routes = topo.compute_routes_from(0, {});
-  const int faulted_port = initial_routes.at(dst_addr);
-  expects(faulted_port >= 0, "GrayFabricScenario: destination unreachable");
-  const int fault_link = topo.link_at(0, faulted_port);
-  expects(fault_link >= 0, "GrayFabricScenario: no link on faulted port");
-
-  if (cfg_.inject_fault) {
-    FaultSpec fault;
-    fault.kind = FaultSpec::Kind::kGrayLoss;
-    fault.link = static_cast<std::size_t>(fault_link);
-    fault.direction = -1;  // symmetric gray failure
-    fault.at = cfg_.fault_at;
-    fault.duration = 0;  // permanent; the reroute is the recovery
-    fault.loss = cfg_.fault_loss;
-    injector_->schedule(fault);
-  }
+  const FaultSite fault = schedule_first_hop_fault(
+      cfg_.fault_at, cfg_.fault_loss, cfg_.inject_fault);
 
   // Link-local heartbeats (proto 253) in both directions of every
   // switch-switch link, flowing from t=0 so the detectors' very first poll
   // window is already fed. They traverse the real (faultable) links.
-  for (std::size_t i = 0; i < fabric_->num_links(); ++i) {
-    const auto& l = topo.links[i];
+  const auto& topo = fabric_->topo();
+  for (const auto& l : topo.links) {
     if (!topo.is_switch(l.a) || !topo.is_switch(l.b)) continue;
     auto make_hb = [this]() {
       auto pkt = fabric_->factory().make(64);
@@ -241,50 +272,15 @@ GrayScenarioResult GrayFabricScenario::run() {
   harness_->run_prologue([this](NodeId node, agent::ReactionContext& ctx) {
     states_[static_cast<std::size_t>(node)]->install_initial_routes(ctx);
   });
-  expects(loop_.now() < cfg_.fault_at,
-          "GrayFabricScenario: prologues overran fault_at; raise fault_at");
 
-  // Sequenced end-to-end traffic; the receiver decides restoration.
-  auto tracker = std::make_shared<GrayDeliveryTracker>();
-  tracker->fault_at = cfg_.fault_at;
-  tracker->k = static_cast<std::size_t>(cfg_.restore_consecutive);
-  start_host_traffic(
-      loop_, *fabric_, src_host, cfg_.traffic_period, cfg_.run_until,
-      [this, tracker, src_addr, dst_addr]() {
-        auto pkt = fabric_->factory().make(cfg_.traffic_bytes);
-        fabric_->factory().set(pkt, "ipv4.srcAddr", src_addr);
-        fabric_->factory().set(pkt, "ipv4.dstAddr", dst_addr);
-        fabric_->factory().set(pkt, "ipv4.protocol", 6);
-        fabric_->factory().set(pkt, "ipv4.totalLen", tracker->sent_at.size());
-        tracker->sent_at.push_back(loop_.now());
-        return pkt;
-      });
-  fabric_->host_at(dst_host).set_on_receive(
-      [this, tracker](const sim::Packet& pkt, Time t) {
-        const Time before = tracker->restored_at;
-        tracker->on_receive(fabric_->factory().get(pkt, "ipv4.totalLen"),
-                            pkt.origin_time(), t);
-        if (before < 0 && tracker->restored_at >= 0) {
-          events_.push_back(std::to_string(tracker->restored_at) +
-                            " delivery restored");
-        }
-      });
-
-  start_telemetry_sampling(loop_, *fabric_, cfg_.telemetry_window,
-                           cfg_.run_until);
-  std::unique_ptr<ParallelFabricEngine> engine;
-  if (cfg_.threads > 1) {
-    engine = std::make_unique<ParallelFabricEngine>(*fabric_, cfg_.threads);
-    harness_->set_engine([&e = *engine](Time t) { e.run_until(t); });
-  }
-  harness_->run_until(cfg_.run_until);
-  harness_->set_engine({});
-  fabric_->sample_telemetry();
+  const auto tracker = start_sequenced_traffic(
+      cfg_.fault_at, cfg_.restore_consecutive, cfg_.run_until);
+  run_fabric(cfg_.run_until, cfg_.threads);
 
   GrayScenarioResult res;
   res.fault_at = cfg_.fault_at;
-  res.fault_link_name = fabric_->link(static_cast<std::size_t>(fault_link)).name();
-  res.faulted_port = faulted_port;
+  res.fault_link_name = fabric_->link(static_cast<std::size_t>(fault.link)).name();
+  res.faulted_port = fault.port;
   res.detected_at = detected_at_;
   res.rerouted_at = rerouted_at_;
   res.restored_at = tracker->restored_at;
@@ -294,16 +290,13 @@ GrayScenarioResult GrayFabricScenario::run() {
   res.hb_sent = hb_sent_.load(std::memory_order_relaxed);
   res.hb_bytes = hb_bytes_.load(std::memory_order_relaxed);
   if (int_fabric_) res.int_reports = int_fabric_->collector().size();
-  res.events = merge_events(injector_->log(), events_);
+  res.events = merged_events();
 
-  auto& metrics = loop_.telemetry().metrics();
-  auto us = [](Time from, Time to) {
-    return to < 0 ? -1.0 : static_cast<double>(to - from) / kMicrosecond;
-  };
-  metrics.gauge("net.scenario.gray.detected_us").set(us(res.fault_at, res.detected_at));
-  metrics.gauge("net.scenario.gray.rerouted_us").set(us(res.fault_at, res.rerouted_at));
-  metrics.gauge("net.scenario.gray.restored_us").set(us(res.fault_at, res.restored_at));
-  metrics.gauge("net.scenario.gray.delivered_pkts").set(static_cast<double>(res.delivered));
+  set_us_gauge("net.scenario.gray.detected_us", res.fault_at, res.detected_at);
+  set_us_gauge("net.scenario.gray.rerouted_us", res.fault_at, res.rerouted_at);
+  set_us_gauge("net.scenario.gray.restored_us", res.fault_at, res.restored_at);
+  loop_.telemetry().metrics().gauge("net.scenario.gray.delivered_pkts")
+      .set(static_cast<double>(res.delivered));
   return res;
 }
 
@@ -311,64 +304,11 @@ GrayScenarioResult GrayFabricScenario::run() {
 // EcmpFabricScenario
 // ---------------------------------------------------------------------------
 
-EcmpFabricScenario::EcmpFabricScenario(EcmpScenarioConfig cfg)
-    : cfg_(std::move(cfg)) {
-  expects(cfg_.leaves >= 2 && cfg_.spines >= 2,
-          "EcmpFabricScenario: need >=2 leaves and >=2 spines");
-  expects(cfg_.hosts_per_leaf >= 1, "EcmpFabricScenario: need hosts");
-  expects(cfg_.flows >= 2, "EcmpFabricScenario: need >=2 flows");
-  artifacts_ = compile::compile_source(
-      apps::hash_polarization_fabric_p4r_source(cfg_.spines));
-
-  Topology topo =
-      Topology::leaf_spine(cfg_.leaves, cfg_.spines, cfg_.hosts_per_leaf);
-  FabricConfig fc;
-  fc.switch_cfg = cfg_.switch_cfg;
-  fc.default_link = cfg_.link;
-  fc.base_seed = cfg_.seed;
-  fabric_ = std::make_unique<Fabric>(loop_, artifacts_.prog, std::move(topo), fc);
-
-  if (cfg_.int_enable) {
-    int_tel::IntFabricConfig ic;
-    ic.sample_every = cfg_.int_sample_every;
-    int_fabric_ = std::make_unique<int_tel::IntFabric>(*fabric_, ic);
-  }
-
-  HarnessOptions hopts;
-  hopts.agent = cfg_.agent;
-  hopts.agent.pacing_sleep = cfg_.pacing;
-  harness_ = std::make_unique<FabricAgentHarness>(*fabric_, artifacts_, hopts);
-  harness_->add_all_switches();
-
-  for (NodeId n = 0; n < fabric_->num_switches(); ++n) {
-    auto st = std::make_shared<apps::HashPolState>();
-    st->cfg = cfg_.hp;
-    st->cfg.num_ports = static_cast<int>(
-        fabric_->topo().switch_facing_ports(n).size());
-    st->on_shift = [this, n](std::size_t config, Time t) {
-      events_.push_back(std::to_string(t) + " n" + std::to_string(n) +
-                        " shift config" + std::to_string(config));
-      ++shifts_total_;
-      if (n == 0) shift_snaps_.push_back({t, uplink_tx()});
-    };
-    harness_->agent_at(n).set_native_reaction(
-        "hp_react", apps::make_hash_pol_reaction(st));
-    states_.push_back(std::move(st));
-  }
-}
-
-EcmpFabricScenario::~EcmpFabricScenario() = default;
-
-std::vector<std::uint64_t> EcmpFabricScenario::uplink_tx() const {
-  std::vector<std::uint64_t> tx;
-  for (int s = 0; s < cfg_.spines; ++s) {
-    auto& l = const_cast<Fabric&>(*fabric_).link_between(0, cfg_.leaves + s);
-    tx.push_back(l.dir_stats(l.direction_from(0)).tx_pkts);
-  }
-  return tx;
-}
-
 namespace {
+
+constexpr int kEcmpLeaves = 2;
+constexpr int kEcmpSpines = 2;
+constexpr Time kEcmpRunUntil = 500 * kMicrosecond;
 
 /// Max share of any entry in (end - start), or 0 when nothing flowed.
 double max_share(const std::vector<std::uint64_t>& start,
@@ -385,23 +325,56 @@ double max_share(const std::vector<std::uint64_t>& start,
 
 }  // namespace
 
+EcmpFabricScenario::EcmpFabricScenario(EcmpScenarioConfig cfg)
+    : FabricScenario(kEcmpLeaves, kEcmpSpines, /*hosts_per_leaf=*/2,
+                     [](const Topology&) {
+                       return apps::hash_polarization_fabric_p4r_source(
+                           kEcmpSpines);
+                     },
+                     cfg.seed, /*faults=*/false,
+                     int_sampling(cfg.int_enable, cfg.int_sample_every)),
+      cfg_(std::move(cfg)) {
+  expects(cfg_.flows >= 2, "EcmpFabricScenario: need >=2 flows");
+  for (NodeId n = 0; n < fabric_->num_switches(); ++n) {
+    auto st = std::make_shared<apps::HashPolState>();
+    // The config cycle is trimmed to spreading configurations: every
+    // non-initial triple includes dstPort, the one field the flows differ in.
+    st->cfg.configs = {{0, 0, 0}, {1, 0, 1}, {0, 1, 1}};
+    st->cfg.num_ports = static_cast<int>(
+        fabric_->topo().switch_facing_ports(n).size());
+    st->on_shift = [this, n](std::size_t config, Time t) {
+      log_event(t, "n" + std::to_string(n) + " shift config" +
+                       std::to_string(config));
+      ++shifts_total_;
+      if (n == 0) shift_snaps_.push_back({t, uplink_tx()});
+    };
+    harness_->agent_at(n).set_native_reaction(
+        "hp_react", apps::make_hash_pol_reaction(st));
+    states_.push_back(std::move(st));
+  }
+}
+
+std::vector<std::uint64_t> EcmpFabricScenario::uplink_tx() const {
+  std::vector<std::uint64_t> tx;
+  for (int s = 0; s < kEcmpSpines; ++s) {
+    auto& l = fabric_->link_between(0, kEcmpLeaves + s);
+    tx.push_back(l.dir_stats(l.direction_from(0)).tx_pkts);
+  }
+  return tx;
+}
+
 EcmpScenarioResult EcmpFabricScenario::run() {
   expects(!ran_, "EcmpFabricScenario::run: single-shot");
   ran_ = true;
 
-  const auto& topo = fabric_->topo();
-  const NodeId src_host = topo.num_switches;  // first host of leaf 0
-  const NodeId dst_host = topo.num_switches + cfg_.hosts_per_leaf;  // leaf 1
-  const std::uint32_t src_addr = fabric_->host_at(src_host).address();
-  const std::uint32_t dst_addr = fabric_->host_at(dst_host).address();
-
   // Prologue: leaves install route entries for their *local* hosts only
   // (remote traffic falls through to ECMP); spines for every destination.
-  harness_->run_prologue([this, &topo](NodeId node, agent::ReactionContext& ctx) {
+  const auto& topo = fabric_->topo();
+  harness_->run_prologue([&topo](NodeId node, agent::ReactionContext& ctx) {
     for (const auto& [addr, host] : topo.dst_node) {
       const NodeId leaf = leaf_of(topo, host);
       int port = -1;
-      if (node < cfg_.leaves) {
+      if (node < kEcmpLeaves) {
         if (leaf != node) continue;
         port = port_toward(topo, node, host);
       } else {
@@ -418,11 +391,12 @@ EcmpScenarioResult EcmpFabricScenario::run() {
   // NAT'd flows: identical srcAddr/dstAddr/srcPort, distinct dstPort — the
   // initial (src, dst, srcPort) hash inputs polarize them all onto one
   // uplink; any shifted configuration includes dstPort and spreads them.
+  const std::uint32_t src_addr = fabric_->host_at(src_host_).address();
+  const std::uint32_t dst_addr = fabric_->host_at(dst_host_).address();
   auto sent = std::make_shared<std::uint64_t>(0);
-  start_host_traffic(
-      loop_, *fabric_, src_host, cfg_.send_period, cfg_.run_until,
-      [this, sent, src_addr, dst_addr]() {
-        auto pkt = fabric_->factory().make(cfg_.traffic_bytes);
+  fabric_->start_host_traffic(
+      src_host_, 250, kEcmpRunUntil, [this, sent, src_addr, dst_addr]() {
+        auto pkt = fabric_->factory().make(500);
         fabric_->factory().set(pkt, "ipv4.srcAddr", src_addr);
         fabric_->factory().set(pkt, "ipv4.dstAddr", dst_addr);
         fabric_->factory().set(pkt, "ipv4.protocol", 6);
@@ -434,20 +408,11 @@ EcmpScenarioResult EcmpFabricScenario::run() {
         return pkt;
       });
   auto delivered = std::make_shared<std::uint64_t>(0);
-  fabric_->host_at(dst_host).set_on_receive(
+  fabric_->host_at(dst_host_).set_on_receive(
       [delivered](const sim::Packet&, Time) { ++*delivered; });
 
   const auto tx_start = uplink_tx();
-  start_telemetry_sampling(loop_, *fabric_, cfg_.telemetry_window,
-                           cfg_.run_until);
-  std::unique_ptr<ParallelFabricEngine> engine;
-  if (cfg_.threads > 1) {
-    engine = std::make_unique<ParallelFabricEngine>(*fabric_, cfg_.threads);
-    harness_->set_engine([&e = *engine](Time t) { e.run_until(t); });
-  }
-  harness_->run_until(cfg_.run_until);
-  harness_->set_engine({});
-  fabric_->sample_telemetry();
+  run_fabric(kEcmpRunUntil, cfg_.threads);
   const auto tx_end = uplink_tx();
 
   EcmpScenarioResult res;
@@ -455,7 +420,7 @@ EcmpScenarioResult EcmpFabricScenario::run() {
   res.sent = *sent;
   res.delivered = *delivered;
   if (int_fabric_) res.int_reports = int_fabric_->collector().size();
-  res.events = events_;
+  res.events = merged_events();
   if (shift_snaps_.empty()) {
     res.share_before = max_share(tx_start, tx_end);
     res.share_after = res.share_before;
@@ -468,10 +433,7 @@ EcmpScenarioResult EcmpFabricScenario::run() {
   auto& metrics = loop_.telemetry().metrics();
   metrics.gauge("net.scenario.ecmp.share_before").set(res.share_before);
   metrics.gauge("net.scenario.ecmp.share_after").set(res.share_after);
-  metrics.gauge("net.scenario.ecmp.first_shift_us")
-      .set(res.first_shift_at < 0
-               ? -1.0
-               : static_cast<double>(res.first_shift_at) / kMicrosecond);
+  set_us_gauge("net.scenario.ecmp.first_shift_us", 0, res.first_shift_at);
   metrics.gauge("net.scenario.ecmp.shifts").set(static_cast<double>(res.shifts));
   return res;
 }

@@ -1,13 +1,21 @@
 // Fabric-level Mantis end-to-end scenarios (the multi-switch ports of the
-// paper's §8.3.2 / §8.3.3 use cases).
+// paper's §8.3.2 / §8.3.3 use cases), built on one skeleton.
 //
-// GrayFabricScenario: a leaf-spine fabric where every switch runs the
-// gray-failure program under its own agent; a FaultInjector degrades the
-// link the sender's traffic actually crosses, detection happens from real
-// missing heartbeats, the reroute rewrites a real route table, and
-// restoration is *measured from observed end-to-end delivery* — the
-// receiving host seeing K consecutive post-fault sequence numbers — not
-// from the reaction's own bookkeeping.
+// FabricScenario: the shared skeleton — a leaf-spine fabric where every
+// switch runs one program under its own agent, plus the steps every
+// scenario repeats (fault pick and injection, sequenced traffic with the
+// K-consecutive delivery tracker, utilization sampling, the engine run and
+// the merged event log). A scenario supplies only what differs: its
+// program, its per-switch reaction and state, its detection mesh, its
+// prologue, its packets and its verdict. int/scenario.hpp builds the INT
+// twin of the gray scenario on it.
+//
+// GrayFabricScenario: a FaultInjector degrades the link the sender's
+// traffic actually crosses, detection happens from real missing
+// heartbeats, the reroute rewrites a real route table, and restoration is
+// *measured from observed end-to-end delivery* — the receiving host seeing
+// K consecutive post-fault sequence numbers — not from the reaction's own
+// bookkeeping.
 //
 // EcmpFabricScenario: a 2-leaf/2-spine ECMP fabric carrying NAT'd flows that
 // are identical in every hash input except dstPort. Under the initial hash
@@ -16,14 +24,17 @@
 // counters and shifts the malleable hash inputs, measurably rebalancing the
 // *link-level* loads.
 //
-// Both scenarios are deterministic: same config + same seed => identical
+// All scenarios are deterministic: same config + same seed => identical
 // event logs and metric snapshots.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/gray_failure.hpp"
@@ -39,6 +50,100 @@ class IntFabric;
 
 namespace mantis::net {
 
+/// End-to-end delivery tracker shared between the sending and receiving
+/// hosts: restoration = the receive instant of the first packet in a run of
+/// K consecutive post-fault sequence numbers.
+struct DeliveryTracker {
+  /// `restore_consecutive` is K; it must be at least 1.
+  DeliveryTracker(Time fault_at, int restore_consecutive);
+
+  void on_receive(std::uint64_t seq, Time sent_time, Time rx_time);
+
+  Time fault_at;
+  std::size_t k;
+  /// seq -> virtual send time. Written only on the *sending* host's shard
+  /// (and read back after the run); the receive path classifies packets by
+  /// their origin-time stamp instead of indexing here, so the two hosts'
+  /// shards never touch the same field concurrently.
+  std::vector<Time> sent_at;
+  std::uint64_t delivered = 0;
+  std::uint64_t delivered_before_fault = 0;
+  Time restored_at = -1;
+  std::deque<std::pair<std::uint64_t, Time>> recent;  ///< (seq, rx time)
+};
+
+class FabricScenario {
+ public:
+  /// Scheduled callbacks hold `this`, so a scenario never moves.
+  FabricScenario(const FabricScenario&) = delete;
+  FabricScenario& operator=(const FabricScenario&) = delete;
+
+  sim::EventLoop& loop() { return loop_; }
+  Fabric& fabric() { return *fabric_; }
+  FabricAgentHarness& harness() { return *harness_; }
+
+ protected:
+  /// Leaf 0's first hop toward the destination host.
+  struct FaultSite {
+    int link = -1;
+    int port = -1;
+  };
+
+  /// Builds a leaves x spines fabric with `hosts_per_leaf` hosts per leaf
+  /// and drop processes seeded from `seed`, every switch running
+  /// `program(topology)` under its own agent. A FaultInjector is attached
+  /// iff `faults` (it registers net.fault.transitions, so a fault-free
+  /// scenario goes without), and an IntFabric sampling 1/n of the flows iff
+  /// `int_sample_every` holds n.
+  FabricScenario(int leaves, int spines, int hosts_per_leaf,
+                 std::string (*program)(const Topology&), std::uint64_t seed,
+                 bool faults, std::optional<std::uint32_t> int_sample_every,
+                 const agent::AgentOptions& agent = {},
+                 const LinkModel& link = {},
+                 const sim::SwitchConfig& switch_cfg = {});
+  ~FabricScenario();
+
+  /// The gray-failure program, its heartbeat register covering the widest
+  /// switch's monitored (switch-facing) port range; small fabrics keep the
+  /// classic 8-port reaction window.
+  static std::string gray_failure_program(const Topology& topo);
+
+  /// Finds the link the sender's traffic crosses; when `inject`, schedules
+  /// a permanent symmetric gray fault of `loss` on it at `at`.
+  FaultSite schedule_first_hop_fault(Time at, double loss, bool inject);
+
+  /// Sends one sequenced data packet (seq in ipv4.totalLen) from the source
+  /// host every microsecond until `until`; the destination host feeds the
+  /// returned tracker and logs restoration. Call after the prologues, which
+  /// must have finished before `fault_at`.
+  std::shared_ptr<const DeliveryTracker> start_sequenced_traffic(
+      Time fault_at, int restore_consecutive, Time until);
+
+  /// Samples link utilization every 50us (so the final sample reflects the
+  /// post-reaction steady state), runs agents and events to `until` on
+  /// `threads` engine workers, then takes a final sample.
+  void run_fabric(Time until, int threads);
+
+  void log_event(Time t, const std::string& what);
+  /// Fault transitions and scenario events, merged by timestamp.
+  std::vector<std::string> merged_events() const;
+  /// Publishes `to - from` in microseconds, or -1 if `to` never happened.
+  void set_us_gauge(const std::string& name, Time from, Time to);
+
+  sim::EventLoop loop_;
+  compile::Artifacts artifacts_;
+  std::unique_ptr<Fabric> fabric_;
+  std::unique_ptr<FaultInjector> injector_;
+  std::unique_ptr<FabricAgentHarness> harness_;
+  std::unique_ptr<int_tel::IntFabric> int_fabric_;
+  NodeId src_host_ = -1;  ///< first host of leaf 0
+  NodeId dst_host_ = -1;  ///< first host of leaf 1
+  bool ran_ = false;
+
+ private:
+  std::vector<std::string> events_;
+};
+
 // ---------------------------------------------------------------------------
 // Gray failure
 // ---------------------------------------------------------------------------
@@ -46,15 +151,13 @@ namespace mantis::net {
 struct GrayScenarioConfig {
   int leaves = 2;
   int spines = 2;
-  int hosts_per_leaf = 1;
   LinkModel link;              ///< fabric-wide link model (ambient loss etc.)
   /// Per-switch model; wide fabrics need num_ports > the 32-port default.
   sim::SwitchConfig switch_cfg;
   std::uint64_t seed = 1;      ///< fabric base seed (drop processes)
 
-  Duration hb_period = 1 * kMicrosecond;       ///< heartbeat period T_s
-  Duration traffic_period = 1 * kMicrosecond;  ///< data packet send period
-  std::uint32_t traffic_bytes = 1000;
+  /// Heartbeat period, which is also the detectors' T_s (gf.ts).
+  Duration hb_period = 1 * kMicrosecond;
 
   /// Injection instant (absolute virtual time; must land after the agent
   /// prologues, which take a few tens of microseconds for 4 switches).
@@ -73,11 +176,8 @@ struct GrayScenarioConfig {
   /// results by the determinism contract, so this is purely a speed knob).
   int threads = 1;
   Time run_until = 400 * kMicrosecond;
-  /// Utilization-gauge sampling window: the final sample then reflects the
-  /// post-reroute steady state (degraded link ~0) rather than the whole run.
-  Duration telemetry_window = 50 * kMicrosecond;
 
-  /// Detector knobs (num_ports is derived per switch from the topology).
+  /// Detector knobs (num_ports and ts are derived from the fabric).
   apps::GrayFailureConfig gf;
 
   /// Delivery counts as restored after this many consecutive post-fault
@@ -125,40 +225,28 @@ struct GrayScenarioResult {
   }
 };
 
-class GrayFabricScenario {
+class GrayFabricScenario : public FabricScenario {
  public:
   explicit GrayFabricScenario(GrayScenarioConfig cfg = {});
-  ~GrayFabricScenario();
 
   /// Builds traffic + faults and runs to cfg.run_until. Single-shot.
   /// Publishes net.scenario.gray.{detected_us,rerouted_us,restored_us,
   /// delivered_pkts} gauges on the loop's registry.
   GrayScenarioResult run();
 
-  sim::EventLoop& loop() { return loop_; }
-  Fabric& fabric() { return *fabric_; }
   FaultInjector& injector() { return *injector_; }
-  FabricAgentHarness& harness() { return *harness_; }
   /// Non-null iff cfg.int_enable.
   int_tel::IntFabric* int_fabric() { return int_fabric_.get(); }
 
  private:
   GrayScenarioConfig cfg_;
-  sim::EventLoop loop_;
-  compile::Artifacts artifacts_;
-  std::unique_ptr<Fabric> fabric_;
-  std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<FabricAgentHarness> harness_;
-  std::unique_ptr<int_tel::IntFabric> int_fabric_;
   std::vector<std::shared_ptr<apps::GrayFailureState>> states_;
-  std::vector<std::string> events_;
   /// Heartbeat frames are minted on their sender's shard; relaxed atomics,
   /// the totals are order-independent sums.
   std::atomic<std::uint64_t> hb_sent_{0};
   std::atomic<std::uint64_t> hb_bytes_{0};
   Time detected_at_ = -1;
   Time rerouted_at_ = -1;
-  bool ran_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -166,39 +254,13 @@ class GrayFabricScenario {
 // ---------------------------------------------------------------------------
 
 struct EcmpScenarioConfig {
-  int leaves = 2;
-  int spines = 2;
-  int hosts_per_leaf = 2;
-  LinkModel link;
-  sim::SwitchConfig switch_cfg;
   std::uint64_t seed = 1;
-
-  int flows = 32;               ///< NAT'd flows, distinct only in dstPort
-  Duration send_period = 250;   ///< ns between packets (round-robin flows)
-  std::uint32_t traffic_bytes = 500;
-
-  Duration pacing = 0;
-  /// Per-agent options applied fabric-wide (async_push etc.); pacing_sleep
-  /// inside is overridden by `pacing` above.
-  agent::AgentOptions agent;
+  int flows = 32;  ///< NAT'd flows, distinct only in dstPort
   int threads = 1;  ///< fabric-engine workers (1 = sequential, same results)
-  Time run_until = 500 * kMicrosecond;
-  Duration telemetry_window = 50 * kMicrosecond;
 
   /// Attach the INT subsystem on a sampled fraction of the NAT'd flows.
   bool int_enable = false;
   std::uint32_t int_sample_every = 1;
-
-  /// Detector knobs (num_ports derived per switch). The default config
-  /// cycle is trimmed to spreading configurations: every non-initial triple
-  /// includes dstPort, the one field the flows differ in.
-  apps::HashPolConfig hp = default_hp();
-
-  static apps::HashPolConfig default_hp() {
-    apps::HashPolConfig h;
-    h.configs = {{0, 0, 0}, {1, 0, 1}, {0, 1, 1}};
-    return h;
-  }
 };
 
 struct EcmpScenarioResult {
@@ -222,28 +284,19 @@ struct EcmpScenarioResult {
   }
 };
 
-class EcmpFabricScenario {
+class EcmpFabricScenario : public FabricScenario {
  public:
   explicit EcmpFabricScenario(EcmpScenarioConfig cfg = {});
-  ~EcmpFabricScenario();
 
   /// Publishes net.scenario.ecmp.{share_before,share_after,first_shift_us,
   /// shifts} gauges on the loop's registry. Single-shot.
   EcmpScenarioResult run();
 
-  sim::EventLoop& loop() { return loop_; }
-  Fabric& fabric() { return *fabric_; }
-  FabricAgentHarness& harness() { return *harness_; }
   /// Non-null iff cfg.int_enable.
   int_tel::IntFabric* int_fabric() { return int_fabric_.get(); }
 
  private:
   EcmpScenarioConfig cfg_;
-  sim::EventLoop loop_;
-  compile::Artifacts artifacts_;
-  std::unique_ptr<Fabric> fabric_;
-  std::unique_ptr<FabricAgentHarness> harness_;
-  std::unique_ptr<int_tel::IntFabric> int_fabric_;
   std::vector<std::shared_ptr<apps::HashPolState>> states_;
 
   /// Uplink tx counters of the sending leaf (one per spine), snapshotted at
@@ -254,9 +307,7 @@ class EcmpFabricScenario {
     std::vector<std::uint64_t> tx;
   };
   std::vector<Snap> shift_snaps_;
-  std::vector<std::string> events_;
   std::uint64_t shifts_total_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace mantis::net

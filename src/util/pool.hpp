@@ -2,7 +2,7 @@
 // profiler (telemetry/prof) attributed to event dispatch: std::function
 // captures carrying packets, per-packet field vectors, and deferred
 // telemetry ops. ~29 operator-new calls per event at the 64-switch scale
-// (docs/EXPERIMENTS.md) were the dominant cost after packet_transit itself.
+// (EXPERIMENTS.md) were the dominant cost after packet_transit itself.
 //
 // Design:
 //  * acquire(bytes)/release(ptr, bytes) round the request up to a power-of-

@@ -448,6 +448,17 @@ TEST(GrayFabricScenario, NoFaultMeansNoDetection) {
   EXPECT_GT(res.delivered, 0u);
 }
 
+TEST(GrayFabricScenario, RejectsRestoreConsecutiveBelowOne) {
+  // K = 0 would read the front of an empty delivery window; K = -1 would
+  // wrap to a huge window and never restore.
+  for (const int k : {0, -1}) {
+    net::GrayScenarioConfig cfg;
+    cfg.restore_consecutive = k;
+    net::GrayFabricScenario scenario(cfg);
+    EXPECT_THROW(scenario.run(), PreconditionError) << "K = " << k;
+  }
+}
+
 TEST(EcmpFabricScenario, ShiftRebalancesRealLinkLoads) {
   net::EcmpScenarioConfig cfg;
   cfg.seed = 11;

@@ -37,7 +37,6 @@ TEST(StressFabric, SixtyFourSwitchGrayFailure) {
   net::GrayScenarioConfig cfg;
   cfg.leaves = 8;
   cfg.spines = 56;
-  cfg.hosts_per_leaf = 1;
   cfg.switch_cfg.num_ports = 58;  // leaves carry 56 uplinks + a host port
   cfg.seed = 1;
   cfg.threads = 8;
@@ -45,10 +44,9 @@ TEST(StressFabric, SixtyFourSwitchGrayFailure) {
   // route table + per-port heartbeat tallies over PCIe), so the fault must
   // land well after they finish; 5 us heartbeats keep the per-round event
   // volume tractable at 448 switch-switch links while the adaptive
-  // delta_threshold (floor(eta*T_d/T_s)) still detects within ~2 poll
-  // windows.
+  // delta_threshold (floor(eta*T_d/T_s), T_s = hb_period) still detects
+  // within ~2 poll windows.
   cfg.hb_period = 5 * kMicrosecond;
-  cfg.gf.ts = 5 * kMicrosecond;
   cfg.fault_at = 6000 * kMicrosecond;
   cfg.run_until = cfg.fault_at + 3000 * kMicrosecond;
 
