@@ -235,6 +235,12 @@ struct OpCase {
   std::int64_t expect;
 };
 
+// Printed as the expression: gtest's default dumps the struct's bytes,
+// pointers included, which would put load addresses into the test names.
+void PrintTo(const OpCase& c, std::ostream* os) {
+  *os << c.a << ' ' << c.op << ' ' << c.b;
+}
+
 class CreactBinaryOps : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(CreactBinaryOps, MatchesHost) {

@@ -214,6 +214,10 @@ struct SemaErrorCase {
   const char* source;
 };
 
+// Printed by name: gtest's default dumps the struct's bytes, pointers
+// included, which would put load addresses into the discovered test names.
+void PrintTo(const SemaErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class SemaErrors : public ::testing::TestWithParam<SemaErrorCase> {};
 
 TEST_P(SemaErrors, Rejected) {

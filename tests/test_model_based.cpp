@@ -90,6 +90,10 @@ struct MatchModelCase {
   const char* name;
 };
 
+// Printed by name: gtest's default dumps the struct's bytes, padding and
+// pointers included, which would make the discovered test names vary.
+void PrintTo(const MatchModelCase& c, std::ostream* os) { *os << c.name; }
+
 class TableModelProperty : public ::testing::TestWithParam<MatchModelCase> {};
 
 TEST_P(TableModelProperty, RandomEntriesMatchReference) {
