@@ -5,7 +5,7 @@
 // Three figures:
 //  1. Raw driver churn — the same op mix (32 table mods + 16 adds + 16
 //     deletes per round) issued three ways: one sync call per op, one sync
-//     Driver::Batch per round, and pipelined async batches.
+//     run_batch per round, and pipelined async batches.
 //  2. Agent-integrated — a dialogue whose reaction modifies N user entries
 //     per iteration, with AgentOptions::async_push off vs on.
 //  3. Equivalence bit — the gray-failure fabric scenario with async push
@@ -111,7 +111,7 @@ ChurnResult churn_sync() {
   return res;
 }
 
-/// One synchronous Driver::Batch per round: the transfer is coalesced, but
+/// One synchronous run_batch per round: the transfer is coalesced, but
 /// the CPU still blocks until each round's batch completes.
 ChurnResult churn_sync_batch() {
   ChurnStack s;
@@ -119,17 +119,20 @@ ChurnResult churn_sync_batch() {
   std::vector<sim::EntryHandle> last_adds;
   const Time t0 = s.loop.now();
   for (int r = 0; r < kRounds; ++r) {
-    driver::Driver::Batch batch;
+    driver::BatchBuilder batch;
     for (int i = 0; i < kEcmpEntries; ++i) {
-      batch.modify("ecmp", s.ecmp[i], "set_out",
-                   {static_cast<std::uint64_t>(1 + (r + i) % 4)});
+      batch.modify_entry("ecmp", s.ecmp[i], "set_out",
+                         {static_cast<std::uint64_t>(1 + (r + i) % 4)});
     }
     for (int i = 0; i < kDosBurst; ++i) {
-      batch.add("blocklist", churn_entry(s.blocklist_key(r, i), 0));
+      batch.add_entry("blocklist", churn_entry(s.blocklist_key(r, i), 0));
     }
-    for (const auto h : last_adds) batch.erase("blocklist", h);
+    for (const auto h : last_adds) batch.delete_entry("blocklist", h);
     res.ops += batch.size();
-    last_adds = s.drv->run_batch(std::move(batch));
+    last_adds.clear();
+    for (const auto& op : s.drv->run_batch(std::move(batch))) {
+      if (op.kind == driver::Op::Kind::kAdd) last_adds.push_back(op.handle);
+    }
   }
   res.elapsed = s.loop.now() - t0;
   return res;
@@ -169,7 +172,7 @@ ChurnResult churn_async(std::size_t pipeline_depth) {
       if (!c.ok) std::abort();
       std::vector<sim::EntryHandle> adds;
       for (const auto& op : c.results) {
-        if (op.kind == driver::AsyncOp::Kind::kAdd) adds.push_back(op.handle);
+        if (op.kind == driver::Op::Kind::kAdd) adds.push_back(op.handle);
       }
       harvested.push_back(std::move(adds));
     }

@@ -32,6 +32,7 @@
 #include "bench_util.hpp"
 #include "net/engine.hpp"
 #include "net/fabric.hpp"
+#include "util/flags.hpp"
 #include "workload/flow_classes.hpp"
 
 namespace {
@@ -233,20 +234,27 @@ int main(int argc, char** argv) {
   int prof_switches = 16, prof_threads = 4;
   bool overhead_guard = false;
   bool prof_clos = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--prof-clos") == 0) {
-      prof_clos = true;
-    } else if (std::strcmp(argv[i], "--prof") == 0 && i + 1 < argc) {
-      prof_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--prof-folded") == 0 && i + 1 < argc) {
-      folded_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--prof-switches") == 0 && i + 1 < argc) {
-      prof_switches = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--prof-threads") == 0 && i + 1 < argc) {
-      prof_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--overhead-guard") == 0) {
-      overhead_guard = true;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--prof-clos") == 0) {
+        prof_clos = true;
+      } else if (std::strcmp(argv[i], "--prof") == 0 && i + 1 < argc) {
+        prof_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--prof-folded") == 0 && i + 1 < argc) {
+        folded_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--prof-switches") == 0) {
+        prof_switches = parse_number<int>("--prof-switches",
+                                          flag_value(argc, argv, i));
+      } else if (std::strcmp(argv[i], "--prof-threads") == 0) {
+        prof_threads =
+            parse_number<int>("--prof-threads", flag_value(argc, argv, i));
+      } else if (std::strcmp(argv[i], "--overhead-guard") == 0) {
+        overhead_guard = true;
+      }
     }
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   const Time horizon = 200 * kMicrosecond;

@@ -120,9 +120,9 @@ control egress { }
       spec.action_args = {1};
       ids.push_back(ctx.add_entry("mt", spec));
     }
-    driver::Driver::Batch batch;
+    driver::BatchBuilder batch;
     auto& raw = tbl.sw->table("mt");
-    for (const auto h : raw.handles()) batch.modify("mt", h, "fwd", {2});
+    for (const auto h : raw.handles()) batch.modify_entry("mt", h, "fwd", {2});
     const Time t1 = tbl.loop.now();
     tbl.drv->run_batch(std::move(batch));
     const Duration table_lat = tbl.loop.now() - t1;

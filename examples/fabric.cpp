@@ -19,19 +19,16 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
-#include <stdexcept>
 #include <string>
 
-#include "flags.hpp"
 #include "int/int_fabric.hpp"
 #include "net/scenarios.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace mantis;
-using examples::flag_value;
-using examples::parse_number;
 
 int run(int argc, char** argv) {
   std::string metrics_path, trace_path, mfr_path, prof_path;
@@ -54,7 +51,7 @@ int run(int argc, char** argv) {
     } else if (flag == "--pacing-us") {
       const auto us = parse_number<Duration>("--pacing-us", v);
       if (us < 0 || us > std::numeric_limits<Duration>::max() / kMicrosecond) {
-        throw std::invalid_argument("--pacing-us: out of range");
+        throw FlagError("--pacing-us: out of range");
       }
       cfg.pacing = us * kMicrosecond;
     } else if (flag == "--threads") {
@@ -64,7 +61,7 @@ int run(int argc, char** argv) {
       cfg.int_sample_every =
           std::max(1u, parse_number<std::uint32_t>("--int", v));
     } else {
-      throw std::invalid_argument("unknown flag " + flag);
+      throw FlagError("unknown flag " + flag);
     }
   }
 

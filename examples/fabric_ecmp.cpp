@@ -15,19 +15,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
 #include <string>
 
-#include "flags.hpp"
 #include "int/int_fabric.hpp"
 #include "net/scenarios.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace mantis;
-using examples::flag_value;
-using examples::parse_number;
 
 int run(int argc, char** argv) {
   std::string metrics_path, prof_path;
@@ -50,7 +47,7 @@ int run(int argc, char** argv) {
       cfg.int_sample_every =
           std::max(1u, parse_number<std::uint32_t>("--int", v));
     } else {
-      throw std::invalid_argument("unknown flag " + flag);
+      throw FlagError("unknown flag " + flag);
     }
   }
 

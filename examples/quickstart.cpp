@@ -13,10 +13,8 @@
 // --metrics writes the stack's metrics snapshot (docs/TELEMETRY.md);
 // --seed draws the emulated queue depths from a seeded Rng (same seed =>
 // same argmax and same committed malleable value) instead of the fixed
-// single-cell default.
+// single-cell default. A bad flag or value exits 2 after one "error:" line.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -25,6 +23,7 @@
 #include "driver/driver.hpp"
 #include "sim/switch.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -84,13 +83,24 @@ int main(int argc, char** argv) {
   std::string trace_path, metrics_path;
   bool seeded = false;
   std::uint64_t seed = 0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seeded = true;
-      seed = std::strtoull(argv[i + 1], nullptr, 10);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      const char* v = flag_value(argc, argv, i);
+      if (flag == "--trace") {
+        trace_path = v;
+      } else if (flag == "--metrics") {
+        metrics_path = v;
+      } else if (flag == "--seed") {
+        seeded = true;
+        seed = parse_number<std::uint64_t>("--seed", v);
+      } else {
+        throw FlagError("unknown flag " + flag);
+      }
     }
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   // 1. Compile P4R -> (malleable P4 program, bindings, reaction bodies).

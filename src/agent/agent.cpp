@@ -414,9 +414,11 @@ void Agent::run_prologue(const std::function<void(ReactionContext&)>& user_init)
   const auto& bind = art_->bindings;
 
   // Static entries (e.g. malleable-field load tables).
-  if (!bind.static_entries.empty()) {
-    driver::Driver::Batch batch;
-    for (const auto& [table, spec] : bind.static_entries) batch.add(table, spec);
+  {
+    driver::BatchBuilder batch;
+    for (const auto& [table, spec] : bind.static_entries) {
+      batch.add_entry(table, spec);
+    }
     drv_->run_batch(std::move(batch));
   }
 
@@ -563,22 +565,10 @@ void Agent::apply_updates() {
   const int vv_next = vv_ ^ 1;
   const Time t0 = loop().now();
 
-  // PREPARE: shadow copies of table ops + dirty overflow init entries.
-  protocol_.prepare(ops, vv_next);
-  std::vector<std::size_t> dirty_inits;
-  {
-    driver::Driver::Batch batch;
-    for (std::size_t k = 1; k < bind.init_tables.size(); ++k) {
-      const auto now_args = init_args(k, scalars_);
-      if (now_args != init_args(k, committed_scalars_)) {
-        batch.modify(bind.init_tables[k].table,
-                     init_handles_[k][static_cast<std::size_t>(vv_next)],
-                     bind.init_tables[k].action, now_args);
-        dirty_inits.push_back(k);
-      }
-    }
-    if (!batch.empty()) drv_->run_batch(std::move(batch));
-  }
+  // PREPARE: shadow copies of table ops, then the dirty overflow init
+  // entries, as two sync batches.
+  protocol_.run_copies(ops, {vv_next});
+  drv_->run_batch(dirty_init_rows({vv_next}));
   const Time after_prepare = loop().now();
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.prepare", "dialogue",
                      telemetry::Track::kAgent, t0, after_prepare, "ops",
@@ -594,17 +584,10 @@ void Agent::apply_updates() {
                      telemetry::Track::kAgent, after_prepare, after_commit,
                      "vv", vv_);
 
-  // MIRROR: bring the old-primary copies up to date.
-  protocol_.mirror(ops, vv_old);
-  if (!dirty_inits.empty()) {
-    driver::Driver::Batch batch;
-    for (const auto k : dirty_inits) {
-      batch.modify(bind.init_tables[k].table,
-                   init_handles_[k][static_cast<std::size_t>(vv_old)],
-                   bind.init_tables[k].action, init_args(k, scalars_));
-    }
-    drv_->run_batch(std::move(batch));
-  }
+  // MIRROR: bring the old-primary copies up to date, again as two batches.
+  protocol_.run_copies(ops, {vv_old});
+  protocol_.erase_deleted(ops);
+  drv_->run_batch(dirty_init_rows({vv_old}));
   record_scalar_commits();
   committed_scalars_ = scalars_;
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.shadow_fill", "dialogue",
@@ -623,16 +606,7 @@ void Agent::apply_updates_async(const std::vector<PendingOp>& ops) {
   // batch. submit() returns immediately; effects land at DMA completion.
   driver::BatchBuilder prep;
   auto prep_staged = protocol_.stage_copy(ops, vv_next, prep);
-  std::vector<std::size_t> dirty_inits;
-  for (std::size_t k = 1; k < bind.init_tables.size(); ++k) {
-    const auto now_args = init_args(k, scalars_);
-    if (now_args != init_args(k, committed_scalars_)) {
-      prep.modify_entry(bind.init_tables[k].table,
-                        init_handles_[k][static_cast<std::size_t>(vv_next)],
-                        bind.init_tables[k].action, now_args);
-      dirty_inits.push_back(k);
-    }
-  }
+  prep = dirty_init_rows({vv_next}, std::move(prep));
   if (!prep.empty()) {
     driver::SubmitOptions so;
     so.reaction_id = rid;
@@ -657,11 +631,7 @@ void Agent::apply_updates_async(const std::vector<PendingOp>& ops) {
   // with the upcoming poll + compute instead of on the critical path.
   driver::BatchBuilder mirror;
   auto mirror_staged = protocol_.stage_copy(ops, vv_old, mirror);
-  for (const auto k : dirty_inits) {
-    mirror.modify_entry(bind.init_tables[k].table,
-                        init_handles_[k][static_cast<std::size_t>(vv_old)],
-                        bind.init_tables[k].action, init_args(k, scalars_));
-  }
+  mirror = dirty_init_rows({vv_old}, std::move(mirror));
   if (!mirror.empty()) {
     driver::SubmitOptions so;
     so.reaction_id = rid;
@@ -692,7 +662,7 @@ void Agent::absorb_async(const driver::BatchCompletion& c) {
   ensures(c.ok, "async push: batch failed — update-protocol invariant broken");
   const auto staged = std::move(async_pending_.front().staged);
   async_pending_.erase(async_pending_.begin());
-  if (!staged.adds.empty()) protocol_.absorb_copy(staged, c);
+  if (!staged.adds.empty()) protocol_.absorb_copy(staged, c.results);
 }
 
 void Agent::drain_pending_pushes() {
@@ -714,20 +684,25 @@ void Agent::record_scalar_commits() {
   }
 }
 
+driver::BatchBuilder Agent::dirty_init_rows(std::initializer_list<int> vvs,
+                                            driver::BatchBuilder out) const {
+  const auto& inits = art_->bindings.init_tables;
+  for (std::size_t k = 1; k < inits.size(); ++k) {
+    const auto now_args = init_args(k, scalars_);
+    if (now_args == init_args(k, committed_scalars_)) continue;
+    for (const int vv : vvs) {
+      out.modify_entry(inits[k].table,
+                       init_handles_[k][static_cast<std::size_t>(vv)],
+                       inits[k].action, now_args);
+    }
+  }
+  return out;
+}
+
 void Agent::commit_scalars_immediate() {
   expects(prologue_done_, "scalar writes require the prologue");
   const auto& bind = art_->bindings;
-  driver::Driver::Batch batch;
-  for (std::size_t k = 1; k < bind.init_tables.size(); ++k) {
-    const auto now_args = init_args(k, scalars_);
-    if (now_args == init_args(k, committed_scalars_)) continue;
-    for (const int vv : {0, 1}) {
-      batch.modify(bind.init_tables[k].table,
-                   init_handles_[k][static_cast<std::size_t>(vv)],
-                   bind.init_tables[k].action, now_args);
-    }
-  }
-  if (!batch.empty()) drv_->run_batch(std::move(batch));
+  drv_->run_batch(dirty_init_rows({0, 1}));
   const auto& master = bind.init_tables.front();
   drv_->set_default(master.table, master.action, master_args(vv_, mv_));
   record_scalar_commits();

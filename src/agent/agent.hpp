@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -243,6 +244,10 @@ class Agent {
   /// Logs kMalleable flight events for scalars whose value differs from the
   /// last committed state (call just before committed_scalars_ = scalars_).
   void record_scalar_commits();
+  /// Appends to `out` a modify of copy vv, for each vv in `vvs`, of every
+  /// overflow init entry whose arguments changed since the last commit.
+  driver::BatchBuilder dirty_init_rows(std::initializer_list<int> vvs,
+                                       driver::BatchBuilder out = {}) const;
   void commit_scalars_immediate();
   void run_one_reaction(ReactionRt& rt);
   void apply_updates();  ///< prepare + commit + mirror for buffered state

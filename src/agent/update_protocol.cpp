@@ -21,94 +21,27 @@ bool same_dims(const compile::TableInfo& info, const std::string& a,
   return ai->dims == bi->dims;
 }
 
+/// The copies an immediate op writes: both vv copies of a malleable table,
+/// the single copy of a plain one.
+std::vector<std::optional<int>> copies_of(const TableRuntime& rt) {
+  if (rt.info->malleable) return {0, 1};
+  return {std::nullopt};
+}
+
 }  // namespace
 
-void UpdateProtocol::apply_copy(const std::vector<PendingOp>& ops, int vv) {
-  driver::Driver::Batch batch;
-  // Adds (and shape-changing mods) get handles back from run_batch in
-  // order; remember where each op's handles land.
-  struct AddRecord {
-    UserEntryId id = 0;
-    const std::string* table = nullptr;
-    std::size_t count = 0;
-  };
-  std::vector<AddRecord> adds;
-
-  for (const auto& op : ops) {
-    auto& rt = runtime(op.table);
-    ensures(rt.info->malleable, "update protocol used on non-malleable table " +
-                                    op.table);
-    ensures(vv == 0 || vv == 1, "apply_copy: bad vv");
-    auto& entry = rt.entries.at(op.id);
-    auto& handles = entry.handles[vv];
-
-    switch (op.kind) {
-      case PendingOp::Kind::kAdd: {
-        const auto specs = expand_user_entry(*rt.info, rt.alts, op.user_spec, vv);
-        for (const auto& spec : specs) batch.add(op.table, spec);
-        adds.push_back(AddRecord{op.id, &op.table, specs.size()});
-        break;
-      }
-      case PendingOp::Kind::kMod: {
-        const auto specs = expand_user_entry(*rt.info, rt.alts, op.user_spec, vv);
-        if (same_dims(*rt.info, op.old_action, op.user_spec.action)) {
-          ensures(specs.size() == handles.size(),
-                  "apply_copy: expansion count changed unexpectedly");
-          for (std::size_t i = 0; i < specs.size(); ++i) {
-            batch.modify(op.table, handles[i], specs[i].action,
-                         specs[i].action_args);
-          }
-        } else {
-          // Different specialization shape: replace the concrete entries.
-          for (const auto h : handles) batch.erase(op.table, h);
-          handles.clear();
-          for (const auto& spec : specs) batch.add(op.table, spec);
-          adds.push_back(AddRecord{op.id, &op.table, specs.size()});
-        }
-        break;
-      }
-      case PendingOp::Kind::kDel: {
-        for (const auto h : handles) batch.erase(op.table, h);
-        handles.clear();
-        break;
-      }
-    }
-  }
-
-  const auto new_handles = drv_->run_batch(std::move(batch));
-  std::size_t cursor = 0;
-  for (const auto& rec : adds) {
-    auto& rt = runtime(*rec.table);
-    auto& entry = rt.entries.at(rec.id);
-    auto& handles = entry.handles[vv];
-    for (std::size_t i = 0; i < rec.count; ++i) {
-      ensures(cursor < new_handles.size(), "apply_copy: handle underflow");
-      handles.push_back(new_handles[cursor++]);
-    }
-  }
-  ensures(cursor == new_handles.size(), "apply_copy: handle overflow");
-}
-
-void UpdateProtocol::prepare(const std::vector<PendingOp>& ops, int vv_next) {
-  apply_copy(ops, vv_next);
-}
-
-void UpdateProtocol::mirror(const std::vector<PendingOp>& ops, int vv_old) {
-  apply_copy(ops, vv_old);
-  erase_deleted(ops);
-}
-
 UpdateProtocol::StagedCopy UpdateProtocol::stage_copy(
-    const std::vector<PendingOp>& ops, int vv, driver::BatchBuilder& out) {
+    const std::vector<PendingOp>& ops, std::optional<int> vv,
+    driver::BatchBuilder& out) {
+  ensures(!vv || *vv == 0 || *vv == 1, "stage_copy: bad vv");
   StagedCopy staged;
-  staged.vv = vv;
+  staged.copy = static_cast<std::size_t>(vv.value_or(0));
+  staged.first = out.size();
   for (const auto& op : ops) {
     auto& rt = runtime(op.table);
-    ensures(rt.info->malleable, "update protocol used on non-malleable table " +
-                                    op.table);
-    ensures(vv == 0 || vv == 1, "stage_copy: bad vv");
-    auto& entry = rt.entries.at(op.id);
-    auto& handles = entry.handles[vv];
+    ensures(rt.info->malleable == vv.has_value(),
+            "stage_copy: vv copy mismatch on table " + op.table);
+    auto& handles = rt.entries.at(op.id).handles[staged.copy];
 
     switch (op.kind) {
       case PendingOp::Kind::kAdd: {
@@ -127,6 +60,7 @@ UpdateProtocol::StagedCopy UpdateProtocol::stage_copy(
                              specs[i].action_args);
           }
         } else {
+          // Different specialization shape: replace the concrete entries.
           for (const auto h : handles) out.delete_entry(op.table, h);
           handles.clear();
           for (const auto& spec : specs) out.add_entry(op.table, spec);
@@ -142,21 +76,25 @@ UpdateProtocol::StagedCopy UpdateProtocol::stage_copy(
       }
     }
   }
+  staged.end = out.size();
   return staged;
 }
 
 void UpdateProtocol::absorb_copy(const StagedCopy& staged,
-                                 const driver::BatchCompletion& c) {
-  std::size_t cursor = 0;
+                                 const std::vector<driver::OpResult>& results) {
+  ensures(staged.end <= results.size(), "absorb_copy: missing op results");
   std::vector<sim::EntryHandle> new_handles;
-  for (const auto& r : c.results) {
-    if (r.kind == driver::AsyncOp::Kind::kAdd) new_handles.push_back(r.handle);
+  for (std::size_t i = staged.first; i < staged.end; ++i) {
+    if (results[i].kind == driver::Op::Kind::kAdd) {
+      new_handles.push_back(results[i].handle);
+    }
   }
+  std::size_t cursor = 0;
   for (const auto& slot : staged.adds) {
     auto eit = runtime(slot.table).entries.find(slot.id);
     ensures(eit != runtime(slot.table).entries.end(),
             "absorb_copy: user entry vanished before its handles arrived");
-    auto& handles = eit->second.handles[static_cast<std::size_t>(staged.vv)];
+    auto& handles = eit->second.handles[staged.copy];
     for (std::size_t i = 0; i < slot.count; ++i) {
       ensures(cursor < new_handles.size(), "absorb_copy: handle underflow");
       handles.push_back(new_handles[cursor++]);
@@ -173,6 +111,15 @@ void UpdateProtocol::erase_deleted(const std::vector<PendingOp>& ops) {
   }
 }
 
+void UpdateProtocol::run_copies(const std::vector<PendingOp>& ops,
+                                const std::vector<std::optional<int>>& vvs) {
+  driver::BatchBuilder batch;
+  std::vector<StagedCopy> staged;
+  for (const auto vv : vvs) staged.push_back(stage_copy(ops, vv, batch));
+  const auto results = drv_->run_batch(std::move(batch));
+  for (const auto& copy : staged) absorb_copy(copy, results);
+}
+
 UserEntryId UpdateProtocol::immediate_add(const std::string& table,
                                           const p4::EntrySpec& user) {
   auto& rt = runtime(table);
@@ -181,30 +128,12 @@ UserEntryId UpdateProtocol::immediate_add(const std::string& table,
   entry.user_spec = user;
   rt.entries.emplace(id, std::move(entry));
 
-  if (rt.info->malleable) {
-    driver::Driver::Batch batch;
-    std::size_t per_copy = 0;
-    for (const int vv : {0, 1}) {
-      const auto specs = expand_user_entry(*rt.info, rt.alts, user, vv);
-      per_copy = specs.size();
-      for (const auto& spec : specs) batch.add(table, spec);
-    }
-    const auto handles = drv_->run_batch(std::move(batch));
-    ensures(handles.size() == 2 * per_copy, "immediate_add: handle mismatch");
-    auto& entry_ref = rt.entries.at(id);
-    for (std::size_t i = 0; i < per_copy; ++i) {
-      entry_ref.handles[0].push_back(handles[i]);
-    }
-    for (std::size_t i = 0; i < per_copy; ++i) {
-      entry_ref.handles[1].push_back(handles[per_copy + i]);
-    }
-  } else {
-    const auto specs = expand_user_entry(*rt.info, rt.alts, user, std::nullopt);
-    driver::Driver::Batch batch;
-    for (const auto& spec : specs) batch.add(table, spec);
-    const auto handles = drv_->run_batch(std::move(batch));
-    rt.entries.at(id).handles[0] = handles;
-  }
+  PendingOp op;
+  op.kind = PendingOp::Kind::kAdd;
+  op.table = table;
+  op.id = id;
+  op.user_spec = user;
+  run_copies({op}, copies_of(rt));  // one batch: every copy's installs
   return id;
 }
 
@@ -214,48 +143,26 @@ void UpdateProtocol::immediate_mod(const std::string& table, UserEntryId id,
   auto& rt = runtime(table);
   auto it = rt.entries.find(id);
   if (it == rt.entries.end()) throw UserError("immediate_mod: bad entry id");
-  const std::string old_action = it->second.user_spec.action;
+  PendingOp op;
+  op.kind = PendingOp::Kind::kMod;
+  op.table = table;
+  op.id = id;
+  op.old_action = it->second.user_spec.action;
   it->second.user_spec.action = action;
   it->second.user_spec.action_args = std::move(args);
-
-  if (rt.info->malleable) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kMod;
-    op.table = table;
-    op.id = id;
-    op.user_spec = it->second.user_spec;
-    op.old_action = old_action;
-    apply_copy({op}, 0);
-    apply_copy({op}, 1);
-    return;
-  }
-  const auto specs =
-      expand_user_entry(*rt.info, rt.alts, it->second.user_spec, std::nullopt);
-  auto& handles = it->second.handles[0];
-  if (same_dims(*rt.info, old_action, it->second.user_spec.action)) {
-    driver::Driver::Batch batch;
-    ensures(specs.size() == handles.size(), "immediate_mod: expansion mismatch");
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      batch.modify(table, handles[i], specs[i].action, specs[i].action_args);
-    }
-    drv_->run_batch(std::move(batch));
-  } else {
-    driver::Driver::Batch batch;
-    for (const auto h : handles) batch.erase(table, h);
-    for (const auto& spec : specs) batch.add(table, spec);
-    handles = drv_->run_batch(std::move(batch));
-  }
+  op.user_spec = it->second.user_spec;
+  for (const auto vv : copies_of(rt)) run_copies({op}, {vv});  // batch per copy
 }
 
 void UpdateProtocol::immediate_del(const std::string& table, UserEntryId id) {
   auto& rt = runtime(table);
-  auto it = rt.entries.find(id);
-  if (it == rt.entries.end()) throw UserError("immediate_del: bad entry id");
-  driver::Driver::Batch batch;
-  for (const auto h : it->second.handles[0]) batch.erase(table, h);
-  for (const auto h : it->second.handles[1]) batch.erase(table, h);
-  drv_->run_batch(std::move(batch));
-  rt.entries.erase(it);
+  if (rt.entries.count(id) == 0) throw UserError("immediate_del: bad entry id");
+  PendingOp op;
+  op.kind = PendingOp::Kind::kDel;
+  op.table = table;
+  op.id = id;
+  run_copies({op}, copies_of(rt));  // one batch: every copy's deletes
+  erase_deleted({op});
 }
 
 }  // namespace mantis::agent

@@ -15,12 +15,12 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "agent/handles.hpp"
-#include "driver/async/batch_builder.hpp"
-#include "driver/async/completion.hpp"
+#include "driver/batch.hpp"
 #include "driver/driver.hpp"
 
 namespace mantis::agent {
@@ -39,26 +39,21 @@ class UpdateProtocol {
   UpdateProtocol(driver::Driver& drv, std::map<std::string, TableRuntime>& tables)
       : drv_(&drv), tables_(&tables) {}
 
-  /// PREPARE: applies `ops` to the vv = `vv_next` copies in one batch.
-  /// All target tables must be malleable.
-  void prepare(const std::vector<PendingOp>& ops, int vv_next);
-
-  /// MIRROR: replays `ops` onto the vv = `vv_old` copies in one batch and
-  /// finalizes bookkeeping (deletes user entries that were removed).
-  void mirror(const std::vector<PendingOp>& ops, int vv_old);
-
-  // ---- async staging (the batched driver runtime, src/driver/async) ----
+  // ---- staging (shared by the sync driver and the async runtime) ----
   //
-  // stage_copy() emits one vv copy's ops into a BatchBuilder instead of
-  // running a sync batch. Agent-side bookkeeping that later staging depends
-  // on (handle-list clears for deletes and shape-changing mods) happens at
-  // stage time; the handles new installs produce exist only when the batch
-  // completes, so stage_copy returns absorb slots and absorb_copy() fills
-  // them from the reaped completion — before anything stages against that
-  // copy again.
+  // stage_copy() emits one copy's ops into a BatchBuilder. `vv` names a
+  // malleable table's vv copy; nullopt names a plain table's single copy
+  // (immediate mode only). Agent-side bookkeeping that later staging
+  // depends on (handle-list clears for deletes and shape-changing mods)
+  // happens at stage time; the handles new installs produce exist only once
+  // the batch has run, so stage_copy returns absorb slots and absorb_copy()
+  // fills them from the batch's results — before anything stages against
+  // that copy again.
 
   struct StagedCopy {
-    int vv = 0;
+    std::size_t copy = 0;   ///< handles index: the vv value, 0 for a plain table
+    std::size_t first = 0;  ///< the copy's ops are [first, end) of the batch
+    std::size_t end = 0;
     struct AddSlot {
       std::string table;
       UserEntryId id = 0;
@@ -66,14 +61,22 @@ class UpdateProtocol {
     };
     std::vector<AddSlot> adds;  ///< in batch add-op order
   };
-  StagedCopy stage_copy(const std::vector<PendingOp>& ops, int vv,
-                        driver::BatchBuilder& out);
-  /// Records the handles of `staged`'s adds from the completed batch (which
-  /// may also carry unrelated non-add ops, e.g. init-entry modifies).
-  void absorb_copy(const StagedCopy& staged, const driver::BatchCompletion& c);
-  /// The bookkeeping tail of mirror(): drops user entries whose delete has
+  StagedCopy stage_copy(const std::vector<PendingOp>& ops,
+                        std::optional<int> vv, driver::BatchBuilder& out);
+  /// Records the handles of `staged`'s adds from the batch's per-op results
+  /// (the batch may also carry other copies or unrelated ops, e.g. init-entry
+  /// modifies, outside `staged`'s range).
+  void absorb_copy(const StagedCopy& staged,
+                   const std::vector<driver::OpResult>& results);
+  /// The bookkeeping tail of MIRROR: drops user entries whose delete has
   /// now reached (or been staged against) both copies.
   void erase_deleted(const std::vector<PendingOp>& ops);
+
+  /// Stages `ops` on each copy in `vvs`, runs them as one synchronous batch
+  /// and absorbs the new handles. PREPARE is run_copies(ops, {vv_next});
+  /// MIRROR is run_copies(ops, {vv_old}) followed by erase_deleted(ops).
+  void run_copies(const std::vector<PendingOp>& ops,
+                  const std::vector<std::optional<int>>& vvs);
 
   /// IMMEDIATE mode: installs both vv copies (malleable) or the single copy
   /// (plain table) right away. Returns the new user entry id.
@@ -87,10 +90,6 @@ class UpdateProtocol {
   std::map<std::string, TableRuntime>* tables_;
 
   TableRuntime& runtime(const std::string& table);
-
-  /// Applies ops to one vv copy; `record_adds` stores returned handles into
-  /// the user entries' handle lists for that copy.
-  void apply_copy(const std::vector<PendingOp>& ops, int vv);
 };
 
 }  // namespace mantis::agent

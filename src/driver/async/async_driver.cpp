@@ -17,11 +17,11 @@ namespace {
 /// `occupancy` tracks the net entry-count delta the batch itself causes per
 /// table, so capacity is checked against the state the batch produces.
 std::optional<std::string> validate_op(
-    sim::Switch& sw, const AsyncOp& op,
+    sim::Switch& sw, const Op& op,
     std::unordered_map<std::string, std::int64_t>& occupancy) {
   try {
     switch (op.kind) {
-      case AsyncOp::Kind::kAdd: {
+      case Op::Kind::kAdd: {
         auto& table = sw.table(op.target);
         const auto& decl = table.decl();
         if (op.spec.key.size() != decl.reads.size()) {
@@ -40,7 +40,7 @@ std::optional<std::string> validate_op(
         ++delta;
         return std::nullopt;
       }
-      case AsyncOp::Kind::kMod: {
+      case Op::Kind::kMod: {
         auto& table = sw.table(op.target);
         table.entry(op.handle);  // throws on a stale/unknown handle
         const auto& decl = table.decl();
@@ -50,12 +50,12 @@ std::optional<std::string> validate_op(
         }
         return std::nullopt;
       }
-      case AsyncOp::Kind::kDel: {
+      case Op::Kind::kDel: {
         sw.table(op.target).entry(op.handle);
         --occupancy[op.target];
         return std::nullopt;
       }
-      case AsyncOp::Kind::kSetDefault: {
+      case Op::Kind::kSetDefault: {
         const auto& decl = sw.table(op.target).decl();
         if (!op.action.empty() &&
             std::find(decl.actions.begin(), decl.actions.end(), op.action) ==
@@ -64,8 +64,8 @@ std::optional<std::string> validate_op(
         }
         return std::nullopt;
       }
-      case AsyncOp::Kind::kRegWrite:
-      case AsyncOp::Kind::kRegRead:
+      case Op::Kind::kRegWrite:
+      case Op::Kind::kRegRead:
         sw.registers().read(op.target, op.index);  // throws on bad reg/index
         return std::nullopt;
     }
@@ -73,32 +73,6 @@ std::optional<std::string> validate_op(
     return std::string(e.what());
   }
   return "unreachable op kind";
-}
-
-/// Applies one op; fills the result's payload. May throw UserError for the
-/// rare spec classes validation doesn't cover (e.g. duplicate exact key).
-void apply_op(sim::Switch& sw, AsyncOp& op, OpResult& res) {
-  switch (op.kind) {
-    case AsyncOp::Kind::kAdd:
-      res.handle = sw.table(op.target).add_entry(op.spec);
-      break;
-    case AsyncOp::Kind::kMod:
-      sw.table(op.target).modify_entry(op.handle, op.action,
-                                       std::move(op.args));
-      break;
-    case AsyncOp::Kind::kDel:
-      sw.table(op.target).delete_entry(op.handle);
-      break;
-    case AsyncOp::Kind::kSetDefault:
-      sw.table(op.target).set_default(op.action, std::move(op.args));
-      break;
-    case AsyncOp::Kind::kRegWrite:
-      sw.registers().write(op.target, op.index, op.value);
-      break;
-    case AsyncOp::Kind::kRegRead:
-      res.value = sw.registers().read(op.target, op.index);
-      break;
-  }
 }
 
 telemetry::HistogramOptions batch_ops_histogram() {
@@ -134,33 +108,14 @@ AsyncDriver::AsyncDriver(Driver& drv, AsyncDriverOptions opts)
   inflight_gauge_ = &tel.metrics().gauge("driver.async.inflight");
 }
 
-Duration AsyncDriver::solo_cost(const AsyncOp& op) {
-  const CostModel& costs = drv_->opts_.costs;
-  switch (op.kind) {
-    case AsyncOp::Kind::kAdd:
-      return costs.table_add(drv_->memoized(op.target, op.spec.action));
-    case AsyncOp::Kind::kMod:
-      return costs.table_mod(drv_->memoized(op.target, op.action));
-    case AsyncOp::Kind::kDel:
-      return costs.table_del(drv_->memoized(op.target, "\x1f""del"));
-    case AsyncOp::Kind::kSetDefault:
-      return costs.set_default();
-    case AsyncOp::Kind::kRegWrite:
-      return costs.register_write();
-    case AsyncOp::Kind::kRegRead:
-      return costs.packed_words_read(1);
-  }
-  return costs.pcie_rtt;
-}
-
 BatchId AsyncDriver::submit(BatchBuilder batch, SubmitOptions sopts) {
   expects(!batch.empty(), "AsyncDriver::submit: empty batch");
-  const CostModel& costs = drv_->opts_.costs;
+  const CostModel& costs = drv_->costs();
   sim::EventLoop& loop = drv_->target().loop();
 
   auto rec = std::make_shared<InFlight>();
   rec->label = sopts.label;
-  rec->ops = std::move(batch.ops_);
+  rec->ops = std::move(batch).take();
   rec->c.id = static_cast<BatchId>(completions_.size()) + 1;
   rec->c.reaction_id = sopts.reaction_id;
   rec->c.submitted = loop.now();
@@ -175,11 +130,11 @@ BatchId AsyncDriver::submit(BatchBuilder batch, SubmitOptions sopts) {
     ring_gate = completions_[completions_.size() - opts_.pipeline_depth];
   }
 
-  if (drv_->opts_.enable_batching) {
+  if (drv_->options().enable_batching) {
     Duration prep = costs.batch_overhead;
     Duration dma = costs.pcie_rtt;
     for (const auto& op : rec->ops) {
-      const Duration solo = solo_cost(op);
+      const Duration solo = drv_->solo_cost(op);
       prep += costs.batch_prep(solo);
       dma += costs.batch_dma(solo);
     }
@@ -191,7 +146,7 @@ BatchId AsyncDriver::submit(BatchBuilder batch, SubmitOptions sopts) {
     // The DMA holds the wire for its whole duration (no critical split: a
     // streamed transfer is exclusive occupancy, unlike a solo op's mostly
     // thread-local cost).
-    rec->c.completed = drv_->channel_.submit_at(
+    rec->c.completed = drv_->channel().submit_at(
         rec->c.dma_start, dma,
         [s = sinks_, rec] { finish_batched(s, rec); });
   } else {
@@ -200,10 +155,10 @@ BatchId AsyncDriver::submit(BatchBuilder batch, SubmitOptions sopts) {
     Time completed = 0;
     Time prep_cursor = std::max(std::max(loop.now(), prep_free_), ring_gate);
     for (std::size_t i = 0; i < rec->ops.size(); ++i) {
-      const Duration solo = solo_cost(rec->ops[i]);
+      const Duration solo = drv_->solo_cost(rec->ops[i]);
       const Time prep_end = prep_cursor + (solo - costs.pcie_rtt);
       if (i == 0) rec->c.prep_start = prep_cursor;
-      completed = drv_->channel_.submit_at(
+      completed = drv_->channel().submit_at(
           prep_end, costs.pcie_rtt,
           [s = sinks_, rec, i] { finish_single(s, rec, i); });
       if (i == 0) rec->c.dma_start = prep_end;
@@ -248,7 +203,7 @@ void AsyncDriver::finish_batched(const Sinks& s,
     // Phase 2b: apply, builder order, all at this completion instant.
     for (std::size_t i = 0; i < rec->ops.size(); ++i) {
       try {
-        apply_op(sw, rec->ops[i], rec->c.results[i]);
+        Driver::apply_op(sw, rec->ops[i], rec->c.results[i]);
       } catch (const UserError& e) {
         rec->c.results[i].ok = false;
         rec->c.results[i].error = e.what();
@@ -265,7 +220,7 @@ void AsyncDriver::finish_single(const Sinks& s,
   telemetry::ProvenanceContext::ScopedAttribution attr(*s.prov,
                                                        rec->c.reaction_id);
   try {
-    apply_op(*s.sw, rec->ops[i], rec->c.results[i]);
+    Driver::apply_op(*s.sw, rec->ops[i], rec->c.results[i]);
   } catch (const UserError& e) {
     rec->c.results[i].ok = false;
     rec->c.results[i].error = e.what();

@@ -5,10 +5,13 @@
 // update. This runtime instead coalesces one epoch's control-plane ops into
 // a single DMA-modeled transfer and overlaps transfers with agent compute:
 //
-//  * BatchBuilder collects table add/mod/del, set_default, and register
-//    ops; submit() turns them into one transfer whose cost splits into
-//    driver-thread *descriptor prep* (batch_overhead + Σ batch_prep(solo))
-//    and *wire/DMA occupancy* (one shared pcie_rtt + Σ batch_dma(solo)).
+//  * BatchBuilder (driver/batch.hpp, the sync Driver's op list too)
+//    collects table add/mod/del, set_default, and register ops; submit()
+//    turns them into one transfer whose cost splits into driver-thread
+//    *descriptor prep* (batch_overhead + Σ batch_prep(solo)) and *wire/DMA
+//    occupancy* (one shared pcie_rtt + Σ batch_dma(solo)). `solo` is
+//    Driver::solo_cost, which also touches the memo during prep, and every
+//    effect is Driver::apply_op — the same mapping the sync paths use.
 //    Both per-op terms are heavily discounted against the solo cost — the
 //    driver walks its metadata once per batch and the DMA engine streams
 //    ops back-to-back behind one round trip (CostModel calibration).
@@ -49,8 +52,8 @@
 #include <optional>
 #include <vector>
 
-#include "driver/async/batch_builder.hpp"
 #include "driver/async/completion.hpp"
+#include "driver/batch.hpp"
 #include "driver/driver.hpp"
 
 namespace mantis::driver {
@@ -103,7 +106,7 @@ class AsyncDriver {
  private:
   struct InFlight {
     const char* label = "driver.async.batch";
-    std::vector<AsyncOp> ops;
+    std::vector<Op> ops;
     BatchCompletion c;
     bool done = false;        ///< completion event has executed
     std::size_t applied = 0;  ///< degraded mode: per-op applies so far
@@ -122,9 +125,6 @@ class AsyncDriver {
     telemetry::Histogram* batch_ns = nullptr;
   };
 
-  /// Solo (synchronous) cost of one op; establishes memoization like the
-  /// sync path — the driver metadata walk happens during prep.
-  Duration solo_cost(const AsyncOp& op);
   /// Two-phase validate + apply of a whole batched transfer.
   static void finish_batched(const Sinks& s,
                              const std::shared_ptr<InFlight>& rec);

@@ -7,21 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "driver/async/batch_builder.hpp"
+#include "driver/batch.hpp"
 #include "util/time.hpp"
 
 namespace mantis::driver {
 
 using BatchId = std::uint64_t;
-
-/// Outcome of one op inside a completed batch, in builder order.
-struct OpResult {
-  AsyncOp::Kind kind = AsyncOp::Kind::kAdd;
-  bool ok = true;
-  std::string error;            ///< empty when ok
-  sim::EntryHandle handle = 0;  ///< kAdd: the installed entry's handle
-  std::uint64_t value = 0;      ///< kRegRead: the cell's value at completion
-};
 
 /// One reaped batch. `ok` is the conjunction of the per-op statuses; in
 /// batched mode a mid-batch failure aborts the whole transfer (no op

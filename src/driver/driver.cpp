@@ -2,6 +2,23 @@
 
 namespace mantis::driver {
 
+namespace {
+
+/// Provenance label of an op run as its own sync transfer.
+const char* sync_label(Op::Kind kind) {
+  switch (kind) {
+    case Op::Kind::kAdd: return "driver.add_entry";
+    case Op::Kind::kMod: return "driver.modify_entry";
+    case Op::Kind::kDel: return "driver.delete_entry";
+    case Op::Kind::kSetDefault: return "driver.set_default";
+    case Op::Kind::kRegWrite: return "driver.write_register";
+    case Op::Kind::kRegRead: return "driver.read_register";
+  }
+  return "driver.op";
+}
+
+}  // namespace
+
 Driver::Driver(sim::Switch& sw, DriverOptions opts)
     : sw_(&sw), opts_(opts), channel_(sw.loop()) {
   auto& tel = sw.loop().telemetry();
@@ -33,7 +50,7 @@ void Driver::sync_submit(Duration cost, const char* op,
   sync_ops_ctr_->add();
   const Time submitted = sw_->loop().now();
   const Time completion =
-      channel_.submit(cost, nullptr, opts_.costs.critical(cost));
+      channel_.submit(cost, nullptr, costs_.critical(cost));
   sw_->loop().run_until(completion);
   effect();
   // After the effect so table mutations performed inside it are already
@@ -41,41 +58,79 @@ void Driver::sync_submit(Duration cost, const char* op,
   prov_->on_driver_op(op, detail, submitted, completion);
 }
 
+Duration Driver::solo_cost(const Op& op) {
+  switch (op.kind) {
+    case Op::Kind::kAdd:
+      return costs_.table_add(memoized(op.target, op.spec.action));
+    case Op::Kind::kMod:
+      return costs_.table_mod(memoized(op.target, op.action));
+    case Op::Kind::kDel:
+      return costs_.table_del(memoized(op.target, "\x1f""del"));
+    case Op::Kind::kSetDefault:
+      return costs_.set_default();
+    case Op::Kind::kRegWrite:
+      return costs_.register_write();
+    case Op::Kind::kRegRead:
+      return costs_.packed_words_read(1);
+  }
+  return costs_.pcie_rtt;
+}
+
+void Driver::apply_op(sim::Switch& sw, Op& op, OpResult& res) {
+  switch (op.kind) {
+    case Op::Kind::kAdd:
+      res.handle = sw.table(op.target).add_entry(op.spec);
+      break;
+    case Op::Kind::kMod:
+      sw.table(op.target).modify_entry(op.handle, op.action,
+                                       std::move(op.args));
+      break;
+    case Op::Kind::kDel:
+      sw.table(op.target).delete_entry(op.handle);
+      break;
+    case Op::Kind::kSetDefault:
+      sw.table(op.target).set_default(op.action, std::move(op.args));
+      break;
+    case Op::Kind::kRegWrite:
+      sw.registers().write(op.target, op.index, op.value);
+      break;
+    case Op::Kind::kRegRead:
+      res.value = sw.registers().read(op.target, op.index);
+      break;
+  }
+}
+
+OpResult Driver::run_op(Op op) {
+  const Duration cost = solo_cost(op);
+  OpResult res;
+  res.kind = op.kind;
+  sync_submit(cost, sync_label(op.kind), op.target,
+              [&] { apply_op(*sw_, op, res); });
+  return res;
+}
+
 sim::EntryHandle Driver::add_entry(const std::string& table,
                                    const p4::EntrySpec& spec) {
-  const Duration cost = opts_.costs.table_add(memoized(table, spec.action));
-  sim::EntryHandle h = 0;
-  sync_submit(cost, "driver.add_entry", table,
-              [&] { h = sw_->table(table).add_entry(spec); });
-  return h;
+  return run_op(Op::add(table, spec)).handle;
 }
 
 void Driver::modify_entry(const std::string& table, sim::EntryHandle h,
                           const std::string& action,
                           std::vector<std::uint64_t> args) {
-  const Duration cost = opts_.costs.table_mod(memoized(table, action));
-  sync_submit(cost, "driver.modify_entry", table, [&] {
-    sw_->table(table).modify_entry(h, action, std::move(args));
-  });
+  run_op(Op::modify(table, h, action, std::move(args)));
 }
 
 void Driver::delete_entry(const std::string& table, sim::EntryHandle h) {
-  const Duration cost = opts_.costs.table_del(memoized(table, "\x1f""del"));
-  sync_submit(cost, "driver.delete_entry", table,
-              [&] { sw_->table(table).delete_entry(h); });
+  run_op(Op::erase(table, h));
 }
 
 void Driver::set_default(const std::string& table, const std::string& action,
                          std::vector<std::uint64_t> args) {
-  sync_submit(opts_.costs.set_default(), "driver.set_default", table,
-              [&] { sw_->table(table).set_default(action, std::move(args)); });
+  run_op(Op::set_default(table, action, std::move(args)));
 }
 
 std::uint64_t Driver::read_register(const std::string& reg, std::uint32_t index) {
-  std::uint64_t value = 0;
-  sync_submit(opts_.costs.packed_words_read(1), "driver.read_register", reg,
-              [&] { value = sw_->registers().read(reg, index); });
-  return value;
+  return run_op(Op::reg_read(reg, index)).value;
 }
 
 std::vector<std::uint64_t> Driver::read_register_range(const std::string& reg,
@@ -85,7 +140,7 @@ std::vector<std::uint64_t> Driver::read_register_range(const std::string& reg,
   const auto width_bytes = bits_to_bytes(sw_->registers().width(reg));
   const std::size_t bytes = static_cast<std::size_t>(last - first + 1) * width_bytes;
   std::vector<std::uint64_t> values;
-  sync_submit(opts_.costs.range_read(bytes), "driver.read_register_range",
+  sync_submit(costs_.range_read(bytes), "driver.read_register_range",
               reg,
               [&] { values = sw_->registers().read_range(reg, first, last); });
   return values;
@@ -94,7 +149,7 @@ std::vector<std::uint64_t> Driver::read_register_range(const std::string& reg,
 std::vector<std::uint64_t> Driver::read_packed_words(
     const std::vector<WordRef>& words) {
   std::vector<std::uint64_t> values;
-  sync_submit(opts_.costs.packed_words_read(words.size()),
+  sync_submit(costs_.packed_words_read(words.size()),
               "driver.read_packed_words",
               words.empty() ? std::string() : words.front().reg, [&] {
     values.reserve(words.size());
@@ -107,14 +162,13 @@ std::vector<std::uint64_t> Driver::read_packed_words(
 
 void Driver::write_register(const std::string& reg, std::uint32_t index,
                             std::uint64_t value) {
-  sync_submit(opts_.costs.register_write(), "driver.write_register", reg,
-              [&] { sw_->registers().write(reg, index, value); });
+  run_op(Op::reg_write(reg, index, value));
 }
 
 std::uint64_t Driver::read_counter(const std::string& counter,
                                    std::uint32_t index) {
   std::uint64_t value = 0;
-  sync_submit(opts_.costs.packed_words_read(1), "driver.read_counter",
+  sync_submit(costs_.packed_words_read(1), "driver.read_counter",
               counter,
               [&] { value = sw_->registers().counter_value(counter, index); });
   return value;
@@ -124,93 +178,27 @@ std::uint64_t Driver::read_counter(const std::string& counter,
 // Batch
 // ---------------------------------------------------------------------------
 
-void Driver::Batch::add(std::string table, p4::EntrySpec spec) {
-  Op op;
-  op.kind = Op::Kind::kAdd;
-  op.table = std::move(table);
-  op.spec = std::move(spec);
-  ops_.push_back(std::move(op));
-}
-
-void Driver::Batch::modify(std::string table, sim::EntryHandle h,
-                           std::string action, std::vector<std::uint64_t> args) {
-  Op op;
-  op.kind = Op::Kind::kMod;
-  op.table = std::move(table);
-  op.handle = h;
-  op.action = std::move(action);
-  op.args = std::move(args);
-  ops_.push_back(std::move(op));
-}
-
-void Driver::Batch::erase(std::string table, sim::EntryHandle h) {
-  Op op;
-  op.kind = Op::Kind::kDel;
-  op.table = std::move(table);
-  op.handle = h;
-  ops_.push_back(std::move(op));
-}
-
-std::vector<sim::EntryHandle> Driver::run_batch(Batch batch) {
-  if (batch.empty()) return {};
-
+std::vector<OpResult> Driver::run_batch(BatchBuilder batch) {
+  std::vector<Op> ops = std::move(batch).take();
+  std::vector<OpResult> results;
+  results.reserve(ops.size());
   if (!opts_.enable_batching) {
-    // Ablation: issue ops one by one (one channel occupancy each).
-    std::vector<sim::EntryHandle> handles;
-    for (auto& op : batch.ops_) {
-      switch (op.kind) {
-        case Batch::Op::Kind::kAdd:
-          handles.push_back(add_entry(op.table, op.spec));
-          break;
-        case Batch::Op::Kind::kMod:
-          modify_entry(op.table, op.handle, op.action, std::move(op.args));
-          break;
-        case Batch::Op::Kind::kDel:
-          delete_entry(op.table, op.handle);
-          break;
-      }
-    }
-    return handles;
+    // Ablation: one transfer per op, each priced just before it runs.
+    for (auto& op : ops) results.push_back(run_op(std::move(op)));
+    return results;
   }
+  if (ops.empty()) return results;
 
-  Duration cost = opts_.costs.batch_overhead;
-  for (const auto& op : batch.ops_) {
-    switch (op.kind) {
-      case Batch::Op::Kind::kAdd:
-        cost += opts_.costs.table_add(memoized(op.table, op.spec.action)) -
-                opts_.costs.pcie_rtt;
-        break;
-      case Batch::Op::Kind::kMod:
-        cost += opts_.costs.table_mod(memoized(op.table, op.action)) -
-                opts_.costs.pcie_rtt;
-        break;
-      case Batch::Op::Kind::kDel:
-        cost += opts_.costs.table_del(memoized(op.table, "\x1f""del")) -
-                opts_.costs.pcie_rtt;
-        break;
-    }
-  }
-  cost += opts_.costs.pcie_rtt;  // the batch pays one shared round trip
-
-  std::vector<sim::EntryHandle> handles;
-  sync_submit(cost, "driver.batch", "ops=" + std::to_string(batch.size()),
-              [&] {
-    for (auto& op : batch.ops_) {
-      switch (op.kind) {
-        case Batch::Op::Kind::kAdd:
-          handles.push_back(sw_->table(op.table).add_entry(op.spec));
-          break;
-        case Batch::Op::Kind::kMod:
-          sw_->table(op.table).modify_entry(op.handle, op.action,
-                                            std::move(op.args));
-          break;
-        case Batch::Op::Kind::kDel:
-          sw_->table(op.table).delete_entry(op.handle);
-          break;
-      }
+  Duration cost = costs_.batch_overhead;
+  for (const auto& op : ops) cost += solo_cost(op) - costs_.pcie_rtt;
+  cost += costs_.pcie_rtt;  // the batch pays one shared round trip
+  for (const auto& op : ops) results.emplace_back().kind = op.kind;
+  sync_submit(cost, "driver.batch", "ops=" + std::to_string(ops.size()), [&] {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      apply_op(*sw_, ops[i], results[i]);
     }
   });
-  return handles;
+  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,12 +210,13 @@ void Driver::async_modify_entry(const std::string& table, sim::EntryHandle h,
                                 std::vector<std::uint64_t> args,
                                 std::function<void(Duration)> done) {
   const Time submitted = sw_->loop().now();
-  const Duration cost = opts_.costs.table_mod(memoized(table, action));
+  Op op = Op::modify(table, h, action, std::move(args));
+  const Duration cost = solo_cost(op);
   channel_.submit(
       cost,
-      [this, table, h, action, args = std::move(args), submitted,
-       done = std::move(done)]() mutable {
-        sw_->table(table).modify_entry(h, action, std::move(args));
+      [this, op = std::move(op), submitted, done = std::move(done)]() mutable {
+        OpResult res;
+        apply_op(*sw_, op, res);
         const Duration latency = sw_->loop().now() - submitted;
         legacy_latency_hist_->record(static_cast<double>(latency));
         // Async completions can land inside another agent's run_until wait;
@@ -236,7 +225,7 @@ void Driver::async_modify_entry(const std::string& table, sim::EntryHandle h,
         auto& rec = sw_->loop().telemetry().recorder();
         if (rec.enabled()) {
           rec.record(sw_->loop().now(), telemetry::FlightEvent::Kind::kDriverOp,
-                     0, "legacy.modify_entry", table, latency);
+                     0, "legacy.modify_entry", op.target, latency);
         }
 #if MANTIS_TELEMETRY_ENABLED
         sw_->loop().telemetry().tracer().complete(
@@ -245,7 +234,7 @@ void Driver::async_modify_entry(const std::string& table, sim::EntryHandle h,
 #endif
         if (done) done(latency);
       },
-      opts_.costs.critical(cost));
+      costs_.critical(cost));
 }
 
 void Driver::async_read_register_range(
@@ -255,7 +244,7 @@ void Driver::async_read_register_range(
   const Time submitted = sw_->loop().now();
   const auto width_bytes = bits_to_bytes(sw_->registers().width(reg));
   const std::size_t bytes = static_cast<std::size_t>(last - first + 1) * width_bytes;
-  const Duration cost = opts_.costs.range_read(bytes);
+  const Duration cost = costs_.range_read(bytes);
   channel_.submit(
       cost,
       [this, reg, first, last, submitted, done = std::move(done)] {
@@ -270,7 +259,7 @@ void Driver::async_read_register_range(
           done(std::move(values), sw_->loop().now() - submitted);
         }
       },
-      opts_.costs.critical(cost));
+      costs_.critical(cost));
 }
 
 }  // namespace mantis::driver

@@ -8,6 +8,10 @@
 //    op's completion — packets and other actors keep running in between —
 //    then returns the result. This models a CPU thread blocked on the driver.
 //  * Asynchronous (legacy clients): submit with a completion callback.
+//
+// Every table and register op (driver/batch.hpp) is priced by solo_cost and
+// applied by apply_op, whether it runs as a per-op call, inside a sync
+// run_batch, or in an AsyncDriver batch (driver/async).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "driver/batch.hpp"
 #include "driver/channel.hpp"
 #include "driver/cost_model.hpp"
 #include "sim/switch.hpp"
@@ -23,7 +28,6 @@
 namespace mantis::driver {
 
 struct DriverOptions {
-  CostModel costs;
   bool enable_memoization = true;  ///< ablation: always-cold when false
   bool enable_batching = true;     ///< ablation: batches degrade to single ops
 };
@@ -33,7 +37,8 @@ class Driver {
   Driver(sim::Switch& sw, DriverOptions opts = {});
 
   sim::Switch& target() { return *sw_; }
-  const CostModel& costs() const { return opts_.costs; }
+  const CostModel& costs() const { return costs_; }
+  const DriverOptions& options() const { return opts_; }
   Channel& channel() { return channel_; }
 
   // ---------- synchronous API (Mantis agent) ----------
@@ -72,35 +77,24 @@ class Driver {
   /// Reads a P4 counter cell (same latency class as a register word).
   std::uint64_t read_counter(const std::string& counter, std::uint32_t index);
 
-  // ---------- batched synchronous table updates ----------
+  // ---------- batched synchronous updates ----------
 
-  /// A group of table mutations submitted as one channel occupancy (batch
-  /// overhead amortized). Mutations all apply at the batch completion
-  /// instant. Used for the prepare and mirror steps of the update protocol.
-  class Batch {
-   public:
-    void add(std::string table, p4::EntrySpec spec);
-    void modify(std::string table, sim::EntryHandle h, std::string action,
-                std::vector<std::uint64_t> args);
-    void erase(std::string table, sim::EntryHandle h);
-    bool empty() const { return ops_.empty(); }
-    std::size_t size() const { return ops_.size(); }
+  /// Runs `batch` as one channel occupancy costing batch_overhead + Σ(solo −
+  /// pcie_rtt) + one shared pcie_rtt; every op applies at the completion
+  /// instant, in batch order. With enable_batching=false each op is instead
+  /// its own sync transfer at its solo cost. Returns one result per op, in
+  /// batch order. Used for the prepare and mirror steps of the update
+  /// protocol.
+  std::vector<OpResult> run_batch(BatchBuilder batch);
 
-   private:
-    friend class Driver;
-    struct Op {
-      enum class Kind { kAdd, kMod, kDel } kind;
-      std::string table;
-      p4::EntrySpec spec;           // kAdd
-      sim::EntryHandle handle = 0;  // kMod/kDel
-      std::string action;           // kMod
-      std::vector<std::uint64_t> args;
-    };
-    std::vector<Op> ops_;
-  };
+  // ---------- the one op -> cost and op -> effect mapping ----------
 
-  /// Executes the batch; returns handles for the adds, in order.
-  std::vector<sim::EntryHandle> run_batch(Batch batch);
+  /// Synchronous cost of `op` on its own. Touches the memo as the op does, so
+  /// every path calls it once per op, in op order.
+  Duration solo_cost(const Op& op);
+  /// Applies `op` to `sw` and fills `res`'s payload (handle, value). Throws
+  /// UserError on a stale handle, unknown table or register, or full table.
+  static void apply_op(sim::Switch& sw, Op& op, OpResult& res);
 
   // ---------- asynchronous API (legacy control planes) ----------
 
@@ -128,12 +122,9 @@ class Driver {
   std::uint64_t sync_ops() const { return sync_ops_; }
 
  private:
-  /// The batched async runtime (driver/async) shares the memo table, cost
-  /// model, and channel so batched and solo ops see one driver state.
-  friend class AsyncDriver;
-
   sim::Switch* sw_;
   DriverOptions opts_;
+  CostModel costs_;
   Channel channel_;
   std::unordered_set<std::string> memo_;
   std::uint64_t sync_ops_ = 0;
@@ -149,6 +140,8 @@ class Driver {
   /// static string literal) and `detail` feed the provenance layer.
   void sync_submit(Duration cost, const char* op, const std::string& detail,
                    const std::function<void()>& effect);
+  /// Runs one op as its own sync transfer at its solo cost.
+  OpResult run_op(Op op);
 };
 
 }  // namespace mantis::driver

@@ -103,6 +103,86 @@ TEST(OverflowInit, ManagementScalarWriteAlsoLandsInOverflowTable) {
   EXPECT_EQ(got, 1u + 2 + 3 + 77);
 }
 
+// One iteration whose reaction changes a malleable-table entry and a scalar
+// that lives in an overflow init table. Sync prepare and mirror each pay one
+// batch for the table ops and a separate one for the init rows; async push
+// stages both into one prepare and one mirror batch. The pinned update time
+// and op counts hold those batch boundaries.
+const char* kOverflowTableSrc = R"P4R(
+header_type h_t { fields { x : 32; k : 32; } }
+header h_t h;
+malleable value k1 { width : 32; init : 1; }
+malleable value k2 { width : 32; init : 2; }
+malleable value k3 { width : 32; init : 3; }
+malleable value k4 { width : 32; init : 4; }
+action bump() {
+  add(h.x, ${k1}, ${k2});
+  add(h.x, h.x, ${k3});
+  add(h.x, h.x, ${k4});
+}
+action fwd(p) { modify_field(standard_metadata.egress_spec, p); }
+table t { actions { bump; } default_action : bump; size : 1; }
+malleable table mt { reads { h.k : exact; } actions { fwd; } size : 16; }
+control ingress { apply(t); apply(mt); }
+control egress { }
+reaction rx() { }
+)P4R";
+
+struct PushCost {
+  Duration update = 0;
+  std::uint64_t sync_ops = 0;     ///< driver.sync_ops during the iteration
+  std::uint64_t channel_ops = 0;  ///< driver.channel.ops during the iteration
+};
+
+PushCost push_table_and_overflow_scalar(bool async_push) {
+  compile::Options copts;
+  copts.rmt.max_action_bits = 70;  // forces >= 2 init tables
+  agent::AgentOptions aopts;
+  aopts.async_push = async_push;
+  Stack stack(kOverflowTableSrc, {}, aopts, {}, copts);
+  const auto& inits = stack.artifacts.bindings.init_tables;
+  if (inits.size() < 2 || inits.back().params.empty()) {
+    ADD_FAILURE() << "program did not split its init table";
+    return {};
+  }
+  const std::string overflow_scalar = inits.back().params.front();
+  stack.agent->run_prologue();
+  p4::EntrySpec spec;
+  spec.key = {{7, kFull}};
+  spec.action = "fwd";
+  spec.action_args = {1};
+  const auto id = stack.agent->management_context().add_entry("mt", spec);
+  stack.agent->set_native_reaction("rx", [&](agent::ReactionContext& ctx) {
+    ctx.mod_entry("mt", id, "fwd", {2});
+    ctx.set(overflow_scalar, ctx.get(overflow_scalar) + 1);
+  });
+
+  auto& metrics = stack.loop.telemetry().metrics();
+  const auto sync0 = metrics.counter("driver.sync_ops").value();
+  const auto chan0 = metrics.counter("driver.channel.ops").value();
+  stack.agent->dialogue_iteration();
+  return PushCost{stack.agent->last_breakdown().update,
+                  metrics.counter("driver.sync_ops").value() - sync0,
+                  metrics.counter("driver.channel.ops").value() - chan0};
+}
+
+TEST(OverflowInit, TableAndScalarPushKeepsBatchBoundaries) {
+  // Sync: the mv flip, prepare (table batch, then init batch), commit and
+  // mirror (table batch, then init batch) are 6 sync ops; the update phase
+  // is 2.6 + 2.6 + 2.5 + 2.6 + 2.6 us. One merged batch per step would
+  // cost 4.0 + 2.5 + 4.0 us in 4 ops.
+  const auto sync = push_table_and_overflow_scalar(false);
+  EXPECT_EQ(sync.update, 12900);
+  EXPECT_EQ(sync.sync_ops, 6u);
+  EXPECT_EQ(sync.channel_ops, 6u);
+  // Async: the mv flip is the one sync op; prepare, commit and mirror are
+  // one batch each.
+  const auto async = push_table_and_overflow_scalar(true);
+  EXPECT_EQ(async.update, 3508);
+  EXPECT_EQ(async.sync_ops, 1u);
+  EXPECT_EQ(async.channel_ops, 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Multiple reactions, egress measurement
 // ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ TEST_F(AsyncDriverFixture, AsyncMatchesSyncFinalState) {
       a.submit(std::move(b1));
       const auto c1 = a.reap();
       for (const auto& r : c1.results) {
-        if (r.kind == AsyncOp::Kind::kAdd) handles.push_back(r.handle);
+        if (r.kind == Op::Kind::kAdd) handles.push_back(r.handle);
       }
       BatchBuilder b2;
       b2.modify_entry("t", handles[1], "set_out", {5});

@@ -27,12 +27,11 @@
 // Violations are written as `resource_seed_*.repro` files that bundle the
 // model with the scenario; `--replay` recognizes the format.
 //
-// Exit status: 0 when every iteration agreed (or was skipped), 1 on any
-// divergence (or, with --resources, any contract violation), 2 on usage
-// errors.
+// Numbers are decimal. Exit status: 0 when every iteration agreed (or was
+// skipped), 1 on any divergence (or, with --resources, any contract
+// violation), 2 on usage errors.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -44,6 +43,7 @@
 #include "check/resource_fuzz.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/check.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -70,20 +70,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// False on an unknown flag; throws FlagError on a missing or bad value.
 bool parse_args(int argc, char** argv, Args& a) {
+  using mantis::flag_value;
+  using mantis::parse_number;
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (opt == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.seed = std::strtoull(v, nullptr, 0);
+      a.seed = parse_number<std::uint64_t>("--seed", flag_value(argc, argv, i));
     } else if (opt == "--iters") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.iters = std::strtoull(v, nullptr, 0);
+      a.iters =
+          parse_number<std::uint64_t>("--iters", flag_value(argc, argv, i));
     } else if (opt == "--minimize") {
       a.minimize = true;
     } else if (opt == "--fabric") {
@@ -93,22 +90,15 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (opt == "--quiet") {
       a.quiet = true;
     } else if (opt == "--corpus-dir") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.corpus_dir = v;
+      a.corpus_dir = flag_value(argc, argv, i);
     } else if (opt == "--metrics") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.metrics_path = v;
+      a.metrics_path = flag_value(argc, argv, i);
     } else if (opt == "--replay") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.replay_path = v;
+      a.replay_path = flag_value(argc, argv, i);
     } else if (opt == "--dump") {
-      const char* v = value();
-      if (v == nullptr) return false;
       a.dump = true;
-      a.dump_seed = std::strtoull(v, nullptr, 0);
+      a.dump_seed =
+          parse_number<std::uint64_t>("--dump", flag_value(argc, argv, i));
     } else {
       return false;
     }
@@ -301,7 +291,12 @@ int fabric_campaign(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) return usage(argv[0]);
+  try {
+    if (!parse_args(argc, argv, args)) return usage(argv[0]);
+  } catch (const mantis::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   try {
     if (args.dump) {

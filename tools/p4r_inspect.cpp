@@ -17,10 +17,10 @@
 // dialogue iterations, and dumps live state (registers, table entries, queue
 // depths) — byte-identical across runs of the same input.
 //
-// Exit status: 0 on success, 1 on I/O or parse failure, 2 on usage errors.
+// Numbers are decimal. Exit status: 0 on success, 1 on I/O or parse failure,
+// 2 on usage errors.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -34,6 +34,7 @@
 #include "telemetry/inspect.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/check.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -99,16 +100,16 @@ int main(int argc, char** argv) {
     }
     if (cmd == "diff") {
       if (argc < 5) return usage(argv[0]);
+      const auto t1 = parse_number<Time>("diff <t1>", argv[3]);
+      const auto t2 = parse_number<Time>("diff <t2>", argv[4]);
       const auto dump = telemetry::parse_mfr(slurp(argv[2]));
-      const Time t1 = std::strtoll(argv[3], nullptr, 0);
-      const Time t2 = std::strtoll(argv[4], nullptr, 0);
       std::fputs(telemetry::mfr_diff_text(dump, t1, t2).c_str(), stdout);
       return 0;
     }
     if (cmd == "reaction") {
       if (argc < 4) return usage(argv[0]);
+      const auto id = parse_number<std::uint64_t>("reaction <id>", argv[3]);
       const auto dump = telemetry::parse_mfr(slurp(argv[2]));
-      const std::uint64_t id = std::strtoull(argv[3], nullptr, 0);
       std::fputs(telemetry::mfr_reaction_text(dump, id).c_str(), stdout);
       return 0;
     }
@@ -149,8 +150,9 @@ int main(int argc, char** argv) {
       std::string src_path, out_path;
       std::uint64_t iters = 3;
       for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-          iters = std::strtoull(argv[++i], nullptr, 0);
+        if (std::strcmp(argv[i], "--iters") == 0) {
+          iters = parse_number<std::uint64_t>("--iters",
+                                              flag_value(argc, argv, i));
         } else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else {
@@ -161,6 +163,9 @@ int main(int argc, char** argv) {
       emit(out_path, live_snapshot(slurp(src_path), iters));
       return 0;
     }
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "p4r_inspect: %s\n", e.what());
     return 1;
