@@ -2,7 +2,7 @@
 
 namespace mantis::sim {
 
-thread_local EventLoop::ShardFrame* EventLoop::tls_frame_ = nullptr;
+constinit thread_local EventLoop::ShardFrame* EventLoop::tls_frame_ = nullptr;
 
 telemetry::Telemetry& EventLoop::telemetry() {
   if (!telemetry_) {

@@ -174,7 +174,10 @@ class EventLoop {
  private:
   std::uint64_t next_seq(int src);
 
-  static thread_local ShardFrame* tls_frame_;
+  /// constinit, like every thread_local a header declares: each translation
+  /// unit then reads the slot directly instead of through a TLS init
+  /// wrapper, whose result UBSan reported as a null-pointer load.
+  static constinit thread_local ShardFrame* tls_frame_;
 
   /// Calendar queue (sim/calendar_queue.hpp): same pop order as the old
   /// std::priority_queue bit for bit (the key is a strict total order),

@@ -21,8 +21,8 @@
 namespace mantis::telemetry::prof {
 
 namespace detail {
-thread_local std::uint64_t tls_alloc_count = 0;
-thread_local std::uint64_t tls_free_count = 0;
+constinit thread_local std::uint64_t tls_alloc_count = 0;
+constinit thread_local std::uint64_t tls_free_count = 0;
 
 namespace {
 std::atomic<std::uint64_t> g_total_allocs{0};

@@ -31,8 +31,8 @@ namespace detail {
 // Bumped by the operator-new wrappers in alloc_hook.cpp. Thread-local so
 // shard workers count independently; the profiler only ever differences the
 // counter on one thread (scope enter/exit run on the same thread).
-extern thread_local std::uint64_t tls_alloc_count;
-extern thread_local std::uint64_t tls_free_count;
+extern constinit thread_local std::uint64_t tls_alloc_count;
+extern constinit thread_local std::uint64_t tls_free_count;
 #endif
 }  // namespace detail
 

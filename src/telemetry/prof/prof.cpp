@@ -14,7 +14,7 @@
 namespace mantis::telemetry::prof {
 
 namespace detail {
-thread_local Frame* tls_frame_top = nullptr;
+constinit thread_local Frame* tls_frame_top = nullptr;
 }  // namespace detail
 
 const char* kind_name(EventKind k) {

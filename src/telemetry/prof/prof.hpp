@@ -281,7 +281,7 @@ struct Frame {
 };
 
 namespace detail {
-extern thread_local Frame* tls_frame_top;
+extern constinit thread_local Frame* tls_frame_top;
 /// Path packing: 4 levels x 8-bit site id, oldest frame in the highest
 /// occupied byte. Frames deeper than 4 fold into their prefix.
 inline std::uint32_t push_path(std::uint32_t parent, SiteId site) {

@@ -7,7 +7,8 @@
 
 namespace mantis::telemetry {
 
-thread_local const ProvenanceContext* ProvenanceContext::hit_owner_ = nullptr;
+constinit thread_local const ProvenanceContext* ProvenanceContext::hit_owner_ =
+    nullptr;
 
 namespace {
 

@@ -152,7 +152,7 @@ class ProvenanceContext {
   Time committed_at_ = 0;
   /// Set by note_hit, consumed by consume_flagged_hit within the same
   /// pipeline pass on the same thread. Thread-local so shards don't race.
-  static thread_local const ProvenanceContext* hit_owner_;
+  static constinit thread_local const ProvenanceContext* hit_owner_;
 };
 
 }  // namespace mantis::telemetry

@@ -6,7 +6,7 @@
 
 namespace mantis::telemetry {
 
-thread_local ShardLane* ShardLane::tls_ = nullptr;
+constinit thread_local ShardLane* ShardLane::tls_ = nullptr;
 
 void ShardLane::merge_apply(const std::vector<ShardLane*>& lanes) {
   expects(current() == nullptr,

@@ -70,7 +70,7 @@ class ShardLane {
   static void merge_apply(const std::vector<ShardLane*>& lanes);
 
  private:
-  static thread_local ShardLane* tls_;
+  static constinit thread_local ShardLane* tls_;
 
   Time t_ = 0;
   int src_ = -1;
