@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/provenance.hpp"
@@ -13,57 +13,94 @@ namespace mantis::driver {
 
 namespace {
 
-/// One record per op validation failure; nullopt = op is applicable.
-/// `occupancy` tracks the net entry-count delta the batch itself causes per
-/// table, so capacity is checked against the state the batch produces.
-std::optional<std::string> validate_op(
-    sim::Switch& sw, const Op& op,
-    std::unordered_map<std::string, std::int64_t>& occupancy) {
+/// What the ops validated so far do to one table, so that each op is
+/// checked against the state the batch itself produces.
+struct TableDelta {
+  const sim::TableState* table = nullptr;
+  std::int64_t occupancy = 0;              ///< net entry-count change
+  std::vector<sim::EntryHandle> deleted;  ///< handles the batch deletes
+  /// All-exact tables: the keys the batch adds.
+  std::vector<std::vector<p4::MatchValue>> added;
+
+  bool was_deleted(sim::EntryHandle h) const {
+    return std::find(deleted.begin(), deleted.end(), h) != deleted.end();
+  }
+};
+/// One delta per table the batch touches (batches touch few tables).
+using BatchDeltas = std::vector<TableDelta>;
+
+TableDelta& delta_of(BatchDeltas& deltas, const sim::TableState& table) {
+  for (auto& d : deltas) {
+    if (d.table == &table) return d;
+  }
+  deltas.push_back(TableDelta{&table});
+  return deltas.back();
+}
+
+/// A live handle the batch has not deleted, or the error to report.
+std::optional<std::string> check_handle(const sim::TableState& table,
+                                        const TableDelta& delta,
+                                        sim::EntryHandle h) {
+  if (!table.contains(h) || delta.was_deleted(h)) {
+    return "table " + table.name() + ": bad handle";
+  }
+  return std::nullopt;
+}
+
+/// Exact keys are equal when their values are (masks are full).
+bool same_values(const std::vector<p4::MatchValue>& a,
+                 const std::vector<p4::MatchValue>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) { return x.value == y.value; });
+}
+
+/// One record per op validation failure; nullopt = op is applicable. Runs
+/// the checks Driver::apply_op would (TableState::check_spec and
+/// check_action), so a batch that validates applies whole.
+std::optional<std::string> validate_op(sim::Switch& sw, const Op& op,
+                                       BatchDeltas& deltas) {
   try {
     switch (op.kind) {
       case Op::Kind::kAdd: {
-        auto& table = sw.table(op.target);
-        const auto& decl = table.decl();
-        if (op.spec.key.size() != decl.reads.size()) {
-          return "key arity " + std::to_string(op.spec.key.size()) +
-                 " != " + std::to_string(decl.reads.size());
-        }
-        if (std::find(decl.actions.begin(), decl.actions.end(),
-                      op.spec.action) == decl.actions.end()) {
-          return "action not bound: " + op.spec.action;
-        }
-        auto& delta = occupancy[op.target];
-        if (static_cast<std::int64_t>(table.entry_count()) + delta >=
+        const auto& table = sw.table(op.target);
+        table.check_spec(op.spec);
+        auto& delta = delta_of(deltas, table);
+        if (static_cast<std::int64_t>(table.entry_count()) + delta.occupancy >=
             static_cast<std::int64_t>(table.capacity())) {
           return "table full: " + op.target;
         }
-        ++delta;
+        if (table.all_exact()) {
+          // A key the batch deleted earlier is free again.
+          const auto live = table.find_exact(op.spec.key);
+          if ((live && !delta.was_deleted(*live)) ||
+              std::any_of(delta.added.begin(), delta.added.end(),
+                          [&](const auto& k) { return same_values(k, op.spec.key); })) {
+            return "table " + op.target + ": duplicate exact key";
+          }
+          delta.added.push_back(op.spec.key);
+        }
+        ++delta.occupancy;
         return std::nullopt;
       }
       case Op::Kind::kMod: {
-        auto& table = sw.table(op.target);
-        table.entry(op.handle);  // throws on a stale/unknown handle
-        const auto& decl = table.decl();
-        if (std::find(decl.actions.begin(), decl.actions.end(), op.action) ==
-            decl.actions.end()) {
-          return "action not bound: " + op.action;
+        const auto& table = sw.table(op.target);
+        if (auto err = check_handle(table, delta_of(deltas, table), op.handle)) {
+          return err;
         }
+        table.check_action(op.action, op.args.size());
         return std::nullopt;
       }
       case Op::Kind::kDel: {
-        sw.table(op.target).entry(op.handle);
-        --occupancy[op.target];
+        const auto& table = sw.table(op.target);
+        auto& delta = delta_of(deltas, table);
+        if (auto err = check_handle(table, delta, op.handle)) return err;
+        delta.deleted.push_back(op.handle);
+        --delta.occupancy;
         return std::nullopt;
       }
-      case Op::Kind::kSetDefault: {
-        const auto& decl = sw.table(op.target).decl();
-        if (!op.action.empty() &&
-            std::find(decl.actions.begin(), decl.actions.end(), op.action) ==
-                decl.actions.end()) {
-          return "action not bound: " + op.action;
-        }
+      case Op::Kind::kSetDefault:
+        sw.table(op.target).check_action(op.action, op.args.size());
         return std::nullopt;
-      }
       case Op::Kind::kRegWrite:
       case Op::Kind::kRegRead:
         sw.registers().read(op.target, op.index);  // throws on bad reg/index
@@ -180,10 +217,10 @@ void AsyncDriver::finish_batched(const Sinks& s,
   telemetry::ProvenanceContext::ScopedAttribution attr(*s.prov,
                                                        rec->c.reaction_id);
   // Phase 1: validate every op against the state the batch would produce.
-  std::unordered_map<std::string, std::int64_t> occupancy;
+  BatchDeltas deltas;
   std::size_t bad = rec->ops.size();
   for (std::size_t i = 0; i < rec->ops.size() && bad == rec->ops.size(); ++i) {
-    if (auto err = validate_op(sw, rec->ops[i], occupancy)) {
+    if (auto err = validate_op(sw, rec->ops[i], deltas)) {
       bad = i;
       rec->c.results[i].ok = false;
       rec->c.results[i].error = *err;

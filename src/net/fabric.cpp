@@ -54,10 +54,12 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
   transit.first_bucket = 256;  // ns; multi-hop transits run ~1-100us
   transit_hist_ = &metrics.histogram("net.fabric.transit_ns", transit);
 
-  // Switches first: they own the program copy the factory() points at.
+  // Switches first: factory() points at the program of their one shared
+  // image, prepared and validated once for the whole fabric.
+  const auto image = std::make_shared<const sim::SwitchImage>(prog);
   for (NodeId n = 0; n < topo_.num_switches; ++n) {
     switches_.push_back(
-        std::make_unique<sim::Switch>(loop, prog, cfg_.switch_cfg));
+        std::make_unique<sim::Switch>(loop, image, cfg_.switch_cfg));
     switches_.back()->set_on_transmit(
         [this, n](const sim::Packet& pkt, int port, Time) {
           deliver_from(n, port, pkt);

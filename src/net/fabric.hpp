@@ -6,7 +6,8 @@
 // stack's MetricsRegistry.
 //
 // All switches load the same p4::Program (a homogeneous fabric, like the
-// paper's testbed); per-switch control planes attach via FabricAgentHarness.
+// paper's testbed) and share one sim::SwitchImage of it; per-switch control
+// planes attach via FabricAgentHarness.
 #pragma once
 
 #include <array>

@@ -145,6 +145,9 @@ TableDecl* Program::find_table(std::string_view name) {
 const RegisterDecl* Program::find_register(std::string_view name) const {
   return find_by_name(registers, name);
 }
+const CounterDecl* Program::find_counter(std::string_view name) const {
+  return find_by_name(counters, name);
+}
 const HeaderTypeDecl* Program::find_header_type(std::string_view name) const {
   return find_by_name(header_types, name);
 }
@@ -303,7 +306,7 @@ void Program::validate() const {
           ensures(find_register(ins.object) != nullptr,
                   "validate: unknown register " + ins.object + " in " + ctx);
         } else if (ins.op == PrimOp::kCount) {
-          ensures(find_by_name(counters, ins.object) != nullptr,
+          ensures(find_counter(ins.object) != nullptr,
                   "validate: unknown counter " + ins.object + " in " + ctx);
         } else if (ins.op == PrimOp::kModifyFieldWithHash) {
           ensures(find_hash_calc(ins.object) != nullptr,

@@ -4,7 +4,7 @@
 // source into it, the Mantis compiler's transformation passes rewrite it, the
 // emitter prints it back as P4-14 text (the paper's artifact #1), and the RMT
 // simulator loads it for execution. Names are plain strings at this level;
-// the simulator resolves them to dense indices when a program is loaded.
+// sim::SwitchImage resolves them to dense ids once per loaded program.
 #pragma once
 
 #include <cstdint>
@@ -330,6 +330,7 @@ struct Program {
   const TableDecl* find_table(std::string_view name) const;
   TableDecl* find_table(std::string_view name);
   const RegisterDecl* find_register(std::string_view name) const;
+  const CounterDecl* find_counter(std::string_view name) const;
   const HeaderTypeDecl* find_header_type(std::string_view name) const;
   const HeaderInstance* find_instance(std::string_view name) const;
   const FieldListDecl* find_field_list(std::string_view name) const;

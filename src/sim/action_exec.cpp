@@ -54,7 +54,12 @@ std::uint64_t compute_hash(const p4::Program& prog, const p4::HashCalcDecl& calc
                            const Packet& pkt) {
   const auto* fl = prog.find_field_list(calc.field_list);
   ensures(fl != nullptr, "compute_hash: missing field list " + calc.field_list);
-  const auto bytes = serialize_fields(prog, *fl, pkt);
+  return compute_hash(prog, calc, *fl, pkt);
+}
+
+std::uint64_t compute_hash(const p4::Program& prog, const p4::HashCalcDecl& calc,
+                           const p4::FieldListDecl& list, const Packet& pkt) {
+  const auto bytes = serialize_fields(prog, list, pkt);
 
   std::uint64_t h = 0;
   if (calc.algorithm == "crc32") {
@@ -91,13 +96,16 @@ std::uint64_t ActionExecutor::eval(const p4::Operand& o,
 }
 
 void ActionExecutor::execute(const p4::ActionDecl& action,
+                             std::span<const ObjectRef> objects,
                              std::span<const std::uint64_t> args, Packet& pkt) {
   if (args.size() != action.params.size()) [[unlikely]] {
     // Concat only on the throw path; this guard runs once per table apply.
     throw PreconditionError("ActionExecutor: arg count mismatch for " +
                             action.name);
   }
-  for (const auto& ins : action.body) {
+  for (std::size_t i = 0; i < action.body.size(); ++i) {
+    const auto& ins = action.body[i];
+    const ObjectRef object = objects[i];
     auto dst_field = [&]() -> p4::FieldId { return ins.args[0].field; };
     auto dst_width = [&]() -> p4::Width {
       return prog_->fields.width(ins.args[0].field);
@@ -152,28 +160,28 @@ void ActionExecutor::execute(const p4::ActionDecl& action,
       case p4::PrimOp::kRegisterRead: {
         const auto index =
             static_cast<std::uint32_t>(eval(ins.args[1], args, pkt));
-        pkt.set(dst_field(), regs_->read(ins.object, index), dst_width());
+        pkt.set(dst_field(), regs_->read(object.id, index), dst_width());
         break;
       }
       case p4::PrimOp::kRegisterWrite: {
         const auto index =
             static_cast<std::uint32_t>(eval(ins.args[0], args, pkt));
-        regs_->write(ins.object, index, eval(ins.args[1], args, pkt));
+        regs_->write(object.id, index, eval(ins.args[1], args, pkt));
         break;
       }
       case p4::PrimOp::kCount: {
         const auto index =
             static_cast<std::uint32_t>(eval(ins.args[0], args, pkt));
-        regs_->count(ins.object, index);
+        regs_->count(object.id, index);
         break;
       }
       case p4::PrimOp::kModifyFieldWithHash: {
-        const auto* calc = prog_->find_hash_calc(ins.object);
-        ensures(calc != nullptr, "execute: unknown hash calc " + ins.object);
         const std::uint64_t base = eval(ins.args[1], args, pkt);
         const std::uint64_t size = eval(ins.args[2], args, pkt);
         expects(size > 0, "modify_field_with_hash_based_offset: size == 0");
-        const std::uint64_t h = compute_hash(*prog_, *calc, pkt);
+        const std::uint64_t h =
+            compute_hash(*prog_, prog_->hash_calcs[object.id],
+                         prog_->field_lists[object.field_list], pkt);
         pkt.set(dst_field(), base + (h % size), dst_width());
         break;
       }

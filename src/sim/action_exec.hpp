@@ -11,11 +11,16 @@
 #include "p4/ir.hpp"
 #include "sim/packet.hpp"
 #include "sim/register_file.hpp"
+#include "sim/switch_image.hpp"
 
 namespace mantis::sim {
 
 /// Computes a field-list hash over a packet. Supported algorithms:
 /// "crc32", "crc16", "identity" (low bits of concatenation), "xor_fold".
+std::uint64_t compute_hash(const p4::Program& prog, const p4::HashCalcDecl& calc,
+                           const p4::FieldListDecl& list, const Packet& pkt);
+
+/// By name: looks up `calc`'s field list in `prog` first.
 std::uint64_t compute_hash(const p4::Program& prog, const p4::HashCalcDecl& calc,
                            const Packet& pkt);
 
@@ -31,10 +36,17 @@ class ActionExecutor {
   ActionExecutor(const p4::Program& prog, RegisterFile& regs)
       : prog_(&prog), regs_(&regs) {}
 
-  /// Runs `action` with `args` on `pkt`. Arithmetic wraps at each destination
-  /// field's width, as on RMT ALUs.
+  /// Runs `action` with `args` on `pkt`; `objects` holds each instruction's
+  /// resolved register, counter or hash calc (SwitchImage::objects).
+  /// Arithmetic wraps at each destination field's width, as on RMT ALUs.
+  void execute(const p4::ActionDecl& action, std::span<const ObjectRef> objects,
+               std::span<const std::uint64_t> args, Packet& pkt);
+
+  /// By name: resolves the action's objects against the program first.
   void execute(const p4::ActionDecl& action, std::span<const std::uint64_t> args,
-               Packet& pkt);
+               Packet& pkt) {
+    execute(action, resolve_objects(*prog_, action), args, pkt);
+  }
 
  private:
   const p4::Program* prog_;

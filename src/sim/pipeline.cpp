@@ -4,46 +4,41 @@
 
 namespace mantis::sim {
 
-Pipeline::Pipeline(const p4::Program& prog, const p4::ControlBlock& block,
-                   std::unordered_map<std::string, TableState>& tables,
-                   RegisterFile& regs, telemetry::ProvenanceContext* prov)
-    : prog_(&prog), block_(&block), tables_(&tables), exec_(prog, regs),
-      prov_(prov) {
-  for (const auto& name : prog.tables_in(block)) {
-    ensures(tables.count(name) != 0, "Pipeline: missing table state for " + name);
-  }
-}
+Pipeline::Pipeline(const SwitchImage& image, p4::Gress gress,
+                   std::vector<TableState>& tables, RegisterFile& regs,
+                   telemetry::ProvenanceContext* prov)
+    : image_(&image), steps_(&image.control(gress)), tables_(&tables),
+      exec_(image.program(), regs), prov_(prov) {}
 
-void Pipeline::run_nodes(const std::vector<p4::ControlNode>& nodes, Packet& pkt) {
-  for (const auto& node : nodes) {
-    if (const auto* apply = std::get_if<p4::ApplyNode>(&node.node)) {
-      auto& table = tables_->at(apply->table);
-      const auto result = table.lookup(pkt);
-      if (prov_ != nullptr) prov_->note_hit(result.provenance);
-      if (result.hit) {
-        ++stats_.table_hits;
+void Pipeline::run(std::uint32_t begin, std::uint32_t end, Packet& pkt) {
+  const p4::Program& prog = image_->program();
+  for (std::uint32_t i = begin; i < end;) {
+    const ControlStep& step = (*steps_)[i];
+    if (step.cond != nullptr) {
+      if (eval_condition(prog, *step.cond, pkt)) {
+        run(i + 1, step.else_at, pkt);
       } else {
-        ++stats_.table_misses;
+        run(step.else_at, step.end_at, pkt);
       }
-      const auto* act = prog_->find_action(*result.action);
-      if (act == nullptr) [[unlikely]] {  // concat only on the throw path
-        throw InvariantError("Pipeline: unknown action " + *result.action);
-      }
-      exec_.execute(*act, *result.args, pkt);
-    } else {
-      const auto& ifn = std::get<p4::IfNode>(node.node);
-      if (eval_condition(*prog_, ifn.cond, pkt)) {
-        run_nodes(ifn.then_branch, pkt);
-      } else {
-        run_nodes(ifn.else_branch, pkt);
-      }
+      i = step.end_at;
+      continue;
     }
+    const auto result = (*tables_)[step.table].lookup(pkt);
+    if (prov_ != nullptr) prov_->note_hit(result.provenance);
+    if (result.hit) {
+      ++stats_.table_hits;
+    } else {
+      ++stats_.table_misses;
+    }
+    exec_.execute(prog.actions[result.action], image_->objects(result.action),
+                  result.args, pkt);
+    ++i;
   }
 }
 
 void Pipeline::process(Packet& pkt) {
   ++stats_.packets;
-  run_nodes(block_->nodes, pkt);
+  run(0, static_cast<std::uint32_t>(steps_->size()), pkt);
 }
 
 }  // namespace mantis::sim

@@ -1,13 +1,14 @@
-// One match-action pipeline (ingress or egress): walks the program's control
-// block, looks up tables, and executes the winning actions on the packet.
+// One match-action pipeline (ingress or egress): walks the image's compiled
+// control block, looks up tables by id, and executes the winning actions on
+// the packet.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "p4/ir.hpp"
 #include "sim/action_exec.hpp"
+#include "sim/switch_image.hpp"
 #include "sim/table_state.hpp"
 
 namespace mantis::telemetry {
@@ -24,12 +25,12 @@ class Pipeline {
     std::uint64_t table_misses = 0;
   };
 
-  /// `tables` must outlive the pipeline and contain every table the control
-  /// block applies. `prov`, when set, gets the provenance stamp of every
-  /// winning rule (first-effect detection).
-  Pipeline(const p4::Program& prog, const p4::ControlBlock& block,
-           std::unordered_map<std::string, TableState>& tables,
-           RegisterFile& regs, telemetry::ProvenanceContext* prov = nullptr);
+  /// `tables` must outlive the pipeline and hold one state per table of
+  /// the image, indexed by TableId. `prov`, when set, gets the provenance
+  /// stamp of every winning rule (first-effect detection).
+  Pipeline(const SwitchImage& image, p4::Gress gress,
+           std::vector<TableState>& tables, RegisterFile& regs,
+           telemetry::ProvenanceContext* prov = nullptr);
 
   /// Runs the control block over the packet. Matches RMT semantics: a drop
   /// marks the packet but the remaining stages still execute.
@@ -38,14 +39,14 @@ class Pipeline {
   const Stats& stats() const { return stats_; }
 
  private:
-  const p4::Program* prog_;
-  const p4::ControlBlock* block_;
-  std::unordered_map<std::string, TableState>* tables_;
+  const SwitchImage* image_;
+  const std::vector<ControlStep>* steps_;
+  std::vector<TableState>* tables_;
   ActionExecutor exec_;
   telemetry::ProvenanceContext* prov_;
   Stats stats_;
 
-  void run_nodes(const std::vector<p4::ControlNode>& nodes, Packet& pkt);
+  void run(std::uint32_t begin, std::uint32_t end, Packet& pkt);
 };
 
 }  // namespace mantis::sim

@@ -3,22 +3,39 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "p4/ir.hpp"
+#include "sim/switch_image.hpp"
 
 namespace mantis::sim {
 
 class RegisterFile {
  public:
+  /// One array per declared register and counter, indexed by its id.
+  /// `prog` must outlive the file (names resolve against it).
   explicit RegisterFile(const p4::Program& prog);
 
-  /// Reads one register cell. Throws UserError on unknown name / bad index.
-  std::uint64_t read(const std::string& reg, std::uint32_t index) const;
+  /// Reads one register cell. Throws UserError on a bad index.
+  std::uint64_t read(RegisterId reg, std::uint32_t index) const;
 
   /// Writes one cell, truncated to the register's declared width.
-  void write(const std::string& reg, std::uint32_t index, std::uint64_t value);
+  void write(RegisterId reg, std::uint32_t index, std::uint64_t value);
+
+  /// Counters (packet counters; P4-14 `count` primitive).
+  void count(CounterId counter, std::uint32_t index);
+
+  // By name, for the control plane, tools and tests: thin lookups onto the
+  // ids above. Throw UserError on an unknown name or a bad index.
+  std::uint64_t read(const std::string& reg, std::uint32_t index) const {
+    return read(register_id(reg), index);
+  }
+  void write(const std::string& reg, std::uint32_t index, std::uint64_t value) {
+    write(register_id(reg), index, value);
+  }
+  void count(const std::string& counter, std::uint32_t index) {
+    count(counter_id(counter), index);
+  }
 
   /// Reads an inclusive index range [first, last].
   std::vector<std::uint64_t> read_range(const std::string& reg,
@@ -27,10 +44,10 @@ class RegisterFile {
 
   std::uint32_t instance_count(const std::string& reg) const;
   p4::Width width(const std::string& reg) const;
-  bool has(const std::string& reg) const { return arrays_.count(reg) != 0; }
+  bool has(const std::string& reg) const {
+    return prog_->find_register(reg) != nullptr;
+  }
 
-  // Counters (packet counters; P4-14 `count` primitive).
-  void count(const std::string& counter, std::uint32_t index);
   std::uint64_t counter_value(const std::string& counter, std::uint32_t index) const;
 
  private:
@@ -38,10 +55,15 @@ class RegisterFile {
     p4::Width width;
     std::vector<std::uint64_t> cells;
   };
-  std::unordered_map<std::string, Array> arrays_;
-  std::unordered_map<std::string, std::vector<std::uint64_t>> counters_;
+  const p4::Program* prog_;
+  std::vector<Array> arrays_;                         ///< by RegisterId
+  std::vector<std::vector<std::uint64_t>> counters_;  ///< by CounterId
 
-  const Array& array(const std::string& reg) const;
+  RegisterId register_id(const std::string& reg) const;
+  CounterId counter_id(const std::string& counter) const;
+  const Array& array(const std::string& reg) const {
+    return arrays_[register_id(reg)];
+  }
 };
 
 }  // namespace mantis::sim

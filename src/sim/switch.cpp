@@ -6,39 +6,28 @@
 
 namespace mantis::sim {
 
-namespace {
-
-p4::Program prepare_program(p4::Program prog) {
-  add_standard_metadata(prog);
-  if (prog.find_action("_no_op_") == nullptr) {
-    p4::ActionDecl no_op;
-    no_op.name = "_no_op_";
-    prog.actions.push_back(std::move(no_op));
-  }
-  prog.validate();
-  return prog;
-}
-
-}  // namespace
-
 Switch::Switch(EventLoop& loop, const p4::Program& prog, SwitchConfig cfg)
+    : Switch(loop, std::make_shared<const SwitchImage>(prog), cfg) {}
+
+Switch::Switch(EventLoop& loop, std::shared_ptr<const SwitchImage> image,
+               SwitchConfig cfg)
     : loop_(&loop),
-      prog_(prepare_program(prog)),
+      image_(std::move(image)),
       cfg_(cfg),
-      factory_(prog_),
-      regs_(prog_),
+      prov_(&loop.telemetry().provenance()),
+      factory_(image_->program()),
+      regs_(image_->program()),
+      ingress_(*image_, p4::Gress::kIngress, tables_, regs_, prov_),
+      egress_(*image_, p4::Gress::kEgress, tables_, regs_, prov_),
       port_stats_(static_cast<std::size_t>(cfg.num_ports)),
       rx_up_(static_cast<std::size_t>(cfg.num_ports), true) {
-  prov_ = &loop.telemetry().provenance();
   prof_ = &loop.telemetry().prof();
-  for (const auto& tbl : prog_.tables) {
-    auto [it, inserted] = tables_.emplace(tbl.name, TableState(prog_, tbl));
-    if (inserted) it->second.set_provenance(prov_);
+  const p4::Program& prog = image_->program();
+  tables_.reserve(prog.tables.size());
+  for (const auto& tbl : prog.tables) {
+    tables_.emplace_back(prog, tbl);
+    tables_.back().set_provenance(prov_);
   }
-  ingress_ =
-      std::make_unique<Pipeline>(prog_, prog_.ingress, tables_, regs_, prov_);
-  egress_ =
-      std::make_unique<Pipeline>(prog_, prog_.egress, tables_, regs_, prov_);
   tm_ = std::make_unique<TrafficManager>(
       loop, cfg.num_ports, cfg.port_gbps, cfg.queue_capacity_bytes,
       [this](Packet pkt, int port) { on_dequeue(std::move(pkt), port); });
@@ -57,14 +46,14 @@ Switch::Switch(EventLoop& loop, const p4::Program& prog, SwitchConfig cfg)
       &tel.metrics().histogram("sim.pipeline.egress_stage_ns", stage);
   transit_hist_ = &tel.metrics().histogram("sim.switch.transit_ns", stage);
 
-  f_ingress_port_ = prog_.fields.require(p4::intrinsics::kIngressPort);
-  f_egress_spec_ = prog_.fields.require(p4::intrinsics::kEgressSpec);
-  f_egress_port_ = prog_.fields.require(p4::intrinsics::kEgressPort);
-  f_packet_length_ = prog_.fields.require(p4::intrinsics::kPacketLength);
-  f_enq_qdepth_ = prog_.fields.require(p4::intrinsics::kEnqQdepth);
-  f_deq_qdepth_ = prog_.fields.require(p4::intrinsics::kDeqQdepth);
-  f_ing_ts_ = prog_.fields.require(p4::intrinsics::kIngressTimestamp);
-  f_egr_ts_ = prog_.fields.require(p4::intrinsics::kEgressTimestamp);
+  f_ingress_port_ = prog.fields.require(p4::intrinsics::kIngressPort);
+  f_egress_spec_ = prog.fields.require(p4::intrinsics::kEgressSpec);
+  f_egress_port_ = prog.fields.require(p4::intrinsics::kEgressPort);
+  f_packet_length_ = prog.fields.require(p4::intrinsics::kPacketLength);
+  f_enq_qdepth_ = prog.fields.require(p4::intrinsics::kEnqQdepth);
+  f_deq_qdepth_ = prog.fields.require(p4::intrinsics::kDeqQdepth);
+  f_ing_ts_ = prog.fields.require(p4::intrinsics::kIngressTimestamp);
+  f_egr_ts_ = prog.fields.require(p4::intrinsics::kEgressTimestamp);
 
   // Register live state with the flight recorder; the ordinal keeps multi-
   // switch (fabric) snapshot labels distinct and deterministic.
@@ -95,18 +84,6 @@ void Switch::set_port_up(int port, bool up) {
 bool Switch::port_up(int port) const {
   expects(port >= 0 && port < cfg_.num_ports, "Switch::port_up: bad port");
   return rx_up_[static_cast<std::size_t>(port)];
-}
-
-TableState& Switch::table(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) throw UserError("unknown table: " + name);
-  return it->second;
-}
-
-const TableState& Switch::table(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) throw UserError("unknown table: " + name);
-  return it->second;
 }
 
 void Switch::inject_internal(Packet pkt, int port, bool recirculated) {
@@ -159,7 +136,7 @@ void Switch::inject_internal(Packet pkt, int port, bool recirculated) {
       loop_->now() + cfg_.ingress_latency, "port", port);
 #endif
   ingress_stage_hist_->record(static_cast<double>(cfg_.ingress_latency));
-  ingress_->process(pkt);
+  ingress_.process(pkt);
   if (prov_->consume_flagged_hit()) {
     prov_->on_first_effect(loop_->now(), cfg_.ingress_latency);
   }
@@ -209,7 +186,7 @@ void Switch::on_dequeue(Packet pkt, int port) {
       loop_->now() + cfg_.egress_latency, "port", port);
 #endif
 
-  egress_->process(pkt);
+  egress_.process(pkt);
   if (prov_->consume_flagged_hit()) {
     prov_->on_first_effect(loop_->now(), cfg_.egress_latency);
   }
@@ -235,8 +212,9 @@ void Switch::on_dequeue(Packet pkt, int port) {
 void Switch::write_snapshot(std::string& out) const {
   std::ostringstream s;
   constexpr std::uint32_t kMaxCells = 64;
-  // Declaration order (not unordered_map order) keeps snapshots byte-stable.
-  for (const auto& reg : prog_.registers) {
+  // Declaration order keeps snapshots byte-stable.
+  const p4::Program& prog = image_->program();
+  for (const auto& reg : prog.registers) {
     const std::uint32_t n = std::min(reg.instance_count, kMaxCells);
     s << "register " << reg.name << "[" << reg.instance_count << "]";
     if (n > 0) {
@@ -246,7 +224,7 @@ void Switch::write_snapshot(std::string& out) const {
     if (n < reg.instance_count) s << " ...";
     s << "\n";
   }
-  for (const auto& ctr : prog_.counters) {
+  for (const auto& ctr : prog.counters) {
     const std::uint32_t n = std::min(ctr.instance_count, kMaxCells);
     s << "counter " << ctr.name << "[" << ctr.instance_count << "]";
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -256,9 +234,7 @@ void Switch::write_snapshot(std::string& out) const {
     s << "\n";
   }
   out += s.str();
-  for (const auto& tbl : prog_.tables) {
-    tables_.at(tbl.name).write_snapshot(out);
-  }
+  for (const auto& tbl : prog.tables) table(tbl.name).write_snapshot(out);
   std::ostringstream q;
   std::uint64_t total = 0;
   for (int port = 0; port < cfg_.num_ports; ++port) {

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "p4/ir.hpp"
@@ -23,6 +22,7 @@
 #include "sim/packet.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/register_file.hpp"
+#include "sim/switch_image.hpp"
 #include "sim/table_state.hpp"
 #include "sim/traffic_manager.hpp"
 
@@ -47,11 +47,15 @@ struct SwitchConfig {
 
 class Switch {
  public:
-  /// Copies `prog` (the switch owns its loaded program, like hardware owns
-  /// its binary) and guarantees a `_no_op_` action exists for table misses.
+  /// Loads `image`, which many switches may share (net::Fabric builds one
+  /// per fabric); the switch holds only its mutable state.
+  Switch(EventLoop& loop, std::shared_ptr<const SwitchImage> image,
+         SwitchConfig cfg = {});
+  /// Builds a private image of `prog` (see SwitchImage).
   Switch(EventLoop& loop, const p4::Program& prog, SwitchConfig cfg = {});
 
-  const p4::Program& program() const { return prog_; }
+  const std::shared_ptr<const SwitchImage>& image() const { return image_; }
+  const p4::Program& program() const { return image_->program(); }
   const PacketFactory& factory() const { return factory_; }
   EventLoop& loop() { return *loop_; }
   const SwitchConfig& config() const { return cfg_; }
@@ -78,8 +82,13 @@ class Switch {
   bool port_up(int port) const;
 
   // --- raw control-plane surface (wrapped by driver::Driver) ---
-  TableState& table(const std::string& name);
-  const TableState& table(const std::string& name) const;
+  /// By name; throws UserError("unknown table: ...").
+  TableState& table(const std::string& name) {
+    return tables_[image_->table_id(name)];
+  }
+  const TableState& table(const std::string& name) const {
+    return tables_[image_->table_id(name)];
+  }
   RegisterFile& registers() { return regs_; }
   const RegisterFile& registers() const { return regs_; }
 
@@ -96,8 +105,8 @@ class Switch {
   const PortStats& port_stats(int port) const;
   const TrafficManager& traffic_manager() const { return *tm_; }
 
-  const Pipeline::Stats& ingress_stats() const { return ingress_->stats(); }
-  const Pipeline::Stats& egress_stats() const { return egress_->stats(); }
+  const Pipeline::Stats& ingress_stats() const { return ingress_.stats(); }
+  const Pipeline::Stats& egress_stats() const { return egress_.stats(); }
 
   /// Appends a deterministic description of live state (registers, counters,
   /// tables, queue depths) — the flight recorder embeds this in .mfr dumps.
@@ -109,13 +118,14 @@ class Switch {
 
  private:
   EventLoop* loop_;
-  p4::Program prog_;
+  std::shared_ptr<const SwitchImage> image_;
   SwitchConfig cfg_;
+  telemetry::ProvenanceContext* prov_;
   PacketFactory factory_;
   RegisterFile regs_;
-  std::unordered_map<std::string, TableState> tables_;
-  std::unique_ptr<Pipeline> ingress_;
-  std::unique_ptr<Pipeline> egress_;
+  std::vector<TableState> tables_;  ///< by TableId
+  Pipeline ingress_;
+  Pipeline egress_;
   std::unique_ptr<TrafficManager> tm_;
   std::vector<PortStats> port_stats_;
   std::vector<bool> rx_up_;
@@ -124,7 +134,6 @@ class Switch {
 
   Time pipeline_free_at_ = 0;  ///< pipeline_pps admission bookkeeping
 
-  telemetry::ProvenanceContext* prov_;
   telemetry::prof::Profiler* prof_;  ///< hot-path cost attribution
   int snapshot_provider_ = 0;  ///< flight-recorder registration id
 

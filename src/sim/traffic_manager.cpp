@@ -36,8 +36,8 @@ telemetry::Gauge& TrafficManager::port_depth_gauge(int port, PortQueue& q) {
 }
 
 void TrafficManager::record_depth(int port, PortQueue& q) {
-  depth_hist_->record(static_cast<double>(q.packets.size()));
-  port_depth_gauge(port, q).set(static_cast<double>(q.packets.size()));
+  depth_hist_->record(static_cast<double>(depth(q)));
+  port_depth_gauge(port, q).set(static_cast<double>(depth(q)));
 }
 
 TrafficManager::PortQueue& TrafficManager::queue(int port) {
@@ -69,22 +69,23 @@ void TrafficManager::enqueue(Packet pkt, int port) {
   q.bytes += pkt.length_bytes();
   ++q.stats.enq_pkts;
   enq_ctr_->add();
-  q.packets.push_back(std::move(pkt));
+  if (!q.packets) q.packets = std::make_unique<std::deque<Packet>>();
+  q.packets->push_back(std::move(pkt));
   record_depth(port, q);
   if (!q.busy) start_service(port);
 }
 
 void TrafficManager::start_service(int port) {
   auto& q = queue(port);
-  if (q.busy || q.packets.empty()) return;
+  if (q.busy || depth(q) == 0) return;
   q.busy = true;
-  const Duration tx = transmission_time(q.packets.front().length_bytes());
+  const Duration tx = transmission_time(q.packets->front().length_bytes());
   loop_->schedule_in(tx, [this, port] {
     MANTIS_PROF_SCOPE(prof_, kTmDequeue, "tm.dequeue");
     auto& pq = queue(port);
-    ensures(!pq.packets.empty(), "TrafficManager: service fired on empty queue");
-    Packet pkt = std::move(pq.packets.front());
-    pq.packets.pop_front();
+    ensures(depth(pq) > 0, "TrafficManager: service fired on empty queue");
+    Packet pkt = std::move(pq.packets->front());
+    pq.packets->pop_front();
     pq.bytes -= pkt.length_bytes();
     ++pq.stats.deq_pkts;
     pq.stats.deq_bytes += pkt.length_bytes();
@@ -99,7 +100,7 @@ void TrafficManager::start_service(int port) {
 }
 
 std::uint32_t TrafficManager::queue_depth_pkts(int port) const {
-  return static_cast<std::uint32_t>(queue(port).packets.size());
+  return static_cast<std::uint32_t>(depth(queue(port)));
 }
 
 std::uint64_t TrafficManager::queue_depth_bytes(int port) const {
@@ -110,9 +111,9 @@ void TrafficManager::set_port_up(int port, bool up) {
   auto& q = queue(port);
   q.up = up;
   if (!up) {
-    q.stats.tail_drops += q.packets.size();
-    drop_ctr_->add(q.packets.size());
-    q.packets.clear();
+    q.stats.tail_drops += depth(q);
+    drop_ctr_->add(depth(q));
+    if (q.packets) q.packets->clear();
     q.bytes = 0;
     record_depth(port, q);
   }

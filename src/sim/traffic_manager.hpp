@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -47,7 +48,9 @@ class TrafficManager {
 
  private:
   struct PortQueue {
-    std::deque<Packet> packets;
+    /// Allocated by the first enqueue: most ports of a large fabric never
+    /// queue a packet, and an empty std::deque already holds ~600 bytes.
+    std::unique_ptr<std::deque<Packet>> packets;
     std::uint64_t bytes = 0;
     bool busy = false;
     bool up = true;
@@ -70,6 +73,9 @@ class TrafficManager {
   telemetry::Counter* drop_ctr_;
   telemetry::prof::Profiler* prof_;  ///< hot-path cost attribution
 
+  static std::size_t depth(const PortQueue& q) {
+    return q.packets ? q.packets->size() : 0;
+  }
   telemetry::Gauge& port_depth_gauge(int port, PortQueue& q);
   void record_depth(int port, PortQueue& q);
   void start_service(int port);

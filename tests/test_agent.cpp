@@ -129,8 +129,8 @@ TEST(AgentTest, VersionBitsFlipPerIteration) {
   auto probe = stack.sw->factory().make();
   auto r = master.lookup(probe);
   const auto& bind = stack.artifacts.bindings;
-  EXPECT_EQ((*r.args)[bind.vv_param], 0u);
-  EXPECT_EQ((*r.args)[bind.mv_param], 0u);
+  EXPECT_EQ(r.args[bind.vv_param], 0u);
+  EXPECT_EQ(r.args[bind.mv_param], 0u);
 }
 
 TEST(AgentTest, CleanIterationSkipsCommitWhenConfigured) {
@@ -156,7 +156,7 @@ TEST(AgentTest, ScalarSetOutsideReactionCommitsImmediately) {
   auto probe = stack.sw->factory().make();
   const auto& bind = stack.artifacts.bindings;
   const auto slot = bind.scalars.at("value_var");
-  EXPECT_EQ((*master.lookup(probe).args)[slot.param], 9u);
+  EXPECT_EQ(master.lookup(probe).args[slot.param], 9u);
 }
 
 TEST(AgentTest, ScalarValidation) {

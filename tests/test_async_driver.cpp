@@ -180,6 +180,44 @@ TEST_F(AsyncDriverFixture, MidBatchHandleErrorAbortsWholeBatch) {
   EXPECT_EQ(sw->registers().read("r", 0), regs_before);
 }
 
+TEST_F(AsyncDriverFixture, SpecAndDuplicateErrorsAbortWholeBatch) {
+  drv->memoize("t", "set_out");
+  const auto live = drv->add_entry("t", entry(7, 7));
+  AsyncDriver adrv(*drv);
+  auto no_args = entry(2, 0);
+  no_args.action_args.clear();  // set_out takes one arg
+
+  // Each batch opens with an add that would succeed alone; the op after it
+  // fails the check apply would run, so nothing may apply.
+  std::vector<BatchBuilder> bad(6);
+  for (auto& b : bad) b.add_entry("t", entry(1, 1));
+  bad[0].add_entry("t", no_args);                    // arg count
+  bad[1].add_entry("t", entry(1, 2));                // key added earlier in batch
+  bad[2].add_entry("t", entry(7, 2));                // live key
+  bad[3].set_default("t", "set_out", {});            // default arg count
+  bad[4].modify_entry("t", live, "set_out", {1, 2}); // modify arg count
+  bad[5].delete_entry("t", live);                    // deleted twice
+  bad[5].delete_entry("t", live);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    adrv.submit(std::move(bad[i]));
+    const auto c = adrv.reap();
+    EXPECT_FALSE(c.ok);
+    EXPECT_EQ(sw->table("t").handles(), std::vector<sim::EntryHandle>{live});
+    EXPECT_EQ(sw->table("t").entry(live).action_args[0], 7u);
+  }
+
+  // A key the batch deleted earlier is free for a later add.
+  BatchBuilder reuse;
+  reuse.delete_entry("t", live);
+  reuse.add_entry("t", entry(7, 3));
+  adrv.submit(std::move(reuse));
+  const auto c = adrv.reap();
+  ASSERT_TRUE(c.ok);
+  EXPECT_EQ(sw->table("t").entry_count(), 1u);
+  EXPECT_EQ(sw->table("t").entry(c.results[1].handle).action_args[0], 3u);
+}
+
 TEST_F(AsyncDriverFixture, CapacityValidatedAgainstInBatchOccupancy) {
   drv->memoize("t", "set_out");
   AsyncDriver adrv(*drv);

@@ -179,6 +179,18 @@ TEST_F(DriverFixture, AsyncOpsQueueBehindSyncOps) {
   EXPECT_EQ(sw->table("t").entry(h).action_args[0], 9u);
 }
 
+TEST_F(DriverFixture, SetDefaultWithWrongArgCountRejected) {
+  Driver drv(*sw);
+  EXPECT_THROW(drv.set_default("t", "set_out", {}), UserError);
+  // The table keeps its default, so a packet that misses still runs.
+  auto pkt = sw->factory().make();
+  sw->factory().set(pkt, "h.a", 5);
+  sw->inject(std::move(pkt), 0);
+  loop.run();
+  EXPECT_EQ(sw->ingress_stats().table_misses, 1u);
+  drv.set_default("t", "set_out", {3});
+}
+
 TEST_F(DriverFixture, ChannelTracksBusyTime) {
   Driver drv(*sw);
   drv.read_register("r", 0);

@@ -1,10 +1,13 @@
 // Model-based property tests: randomized workloads checked against simple
 // reference implementations.
-//  * TableState's match engines vs a brute-force reference matcher.
+//  * TableState vs a brute-force reference table, in lockstep over random
+//    add/modify/delete/set_default/lookup streams, and its storage under
+//    handle churn.
 //  * first_fit_decreasing vs bin-packing invariants.
 //  * The DoS estimator's sampling error bound vs ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "compile/packing.hpp"
@@ -86,8 +89,9 @@ std::optional<std::size_t> reference_lookup(
 }
 
 struct MatchModelCase {
-  p4::MatchKind kind;
+  p4::MatchKind kind;  ///< h.a's match kind
   const char* name;
+  p4::MatchKind kind_b = p4::MatchKind::kTernary;  ///< h.b's
 };
 
 // Printed by name: gtest's default dumps the struct's bytes, padding and
@@ -96,76 +100,257 @@ void PrintTo(const MatchModelCase& c, std::ostream* os) { *os << c.name; }
 
 class TableModelProperty : public ::testing::TestWithParam<MatchModelCase> {};
 
-TEST_P(TableModelProperty, RandomEntriesMatchReference) {
+// ---------------------------------------------------------------------------
+// Lockstep oracle: random add/modify/delete/set_default/lookup streams run
+// on a TableState and on a brute-force model side by side.
+// ---------------------------------------------------------------------------
+
+/// Table `t` reading h.a (16 bits) and h.b (8 bits) with the case's kinds;
+/// actions mark(v) and tag(v, w) are bound, `_no_op_` is not.
+struct ModelTable {
   p4::Program prog;
-  p4::add_standard_metadata(prog);
-  prog.add_metadata_instance("h_t", "h", {{"a", 16}, {"b", 8}});
-  p4::ActionDecl act;
-  act.name = "mark";
-  act.params.push_back(p4::ActionParam{"v", 16});
-  prog.actions.push_back(act);
-  p4::ActionDecl noop;
-  noop.name = "_no_op_";
-  prog.actions.push_back(noop);
+  MatchModelCase c;
 
-  p4::TableDecl decl;
-  decl.name = "t";
-  decl.reads = {{prog.fields.require("h.a"), GetParam().kind, ""},
-                {prog.fields.require("h.b"), p4::MatchKind::kTernary, ""}};
-  decl.actions = {"mark"};
-  decl.size = 64;
-  prog.tables.push_back(decl);
+  explicit ModelTable(MatchModelCase mc) : c(mc) {
+    p4::add_standard_metadata(prog);
+    prog.add_metadata_instance("h_t", "h", {{"a", 16}, {"b", 8}});
+    p4::ActionDecl mark;
+    mark.name = "mark";
+    mark.params.push_back(p4::ActionParam{"v", 16});
+    prog.actions.push_back(mark);
+    p4::ActionDecl tag;
+    tag.name = "tag";
+    tag.params = {p4::ActionParam{"v", 16}, p4::ActionParam{"w", 16}};
+    prog.actions.push_back(tag);
+    p4::ActionDecl noop;
+    noop.name = "_no_op_";
+    prog.actions.push_back(noop);
+    p4::TableDecl decl;
+    decl.name = "t";
+    decl.reads = {{prog.fields.require("h.a"), c.kind, ""},
+                  {prog.fields.require("h.b"), c.kind_b, ""}};
+    decl.actions = {"mark", "tag"};
+    decl.size = 48;
+    prog.tables.push_back(decl);
+  }
 
-  sim::TableState table(prog, prog.tables[0]);
-  Rng rng(0xfeed + static_cast<std::uint64_t>(GetParam().kind));
-  std::vector<RefEntry> reference;
+  const p4::TableDecl& decl() const { return prog.tables[0]; }
 
-  // Install random entries (skip duplicates the engine rejects).
-  for (int i = 0; i < 40; ++i) {
-    p4::EntrySpec spec;
-    const std::uint64_t a_val = rng.uniform(1 << 16);
-    std::uint64_t a_mask = kFull;
-    if (GetParam().kind == p4::MatchKind::kTernary) {
-      a_mask = rng.uniform(1 << 16);
-    } else if (GetParam().kind == p4::MatchKind::kLpm) {
-      const unsigned plen = static_cast<unsigned>(rng.uniform(17));
-      a_mask = plen == 0 ? 0 : (mask_for_width(plen) << (16 - plen));
-    }
-    spec.key.push_back(p4::MatchValue{
-        GetParam().kind == p4::MatchKind::kExact ? a_val : (a_val & a_mask),
-        a_mask});
-    const std::uint64_t b_mask = rng.uniform(256);
-    spec.key.push_back(p4::MatchValue{rng.uniform(256) & b_mask, b_mask});
-    spec.priority = static_cast<std::int32_t>(rng.uniform(4));
-    spec.action = "mark";
-    spec.action_args = {static_cast<std::uint64_t>(i)};
-    try {
-      table.add_entry(spec);
-      reference.push_back(RefEntry{spec, static_cast<std::uint64_t>(i)});
-    } catch (const UserError&) {
-      // duplicate exact key — reference skips it too
+  static p4::MatchValue random_component(Rng& rng, p4::MatchKind kind,
+                                         unsigned width) {
+    const std::uint64_t value = rng.uniform(std::uint64_t{1} << width);
+    switch (kind) {
+      case p4::MatchKind::kTernary: {
+        const std::uint64_t mask = rng.uniform(std::uint64_t{1} << width);
+        return {value & mask, mask};
+      }
+      case p4::MatchKind::kLpm: {
+        const auto plen = static_cast<unsigned>(rng.uniform(width + 1));
+        const std::uint64_t mask =
+            plen == 0 ? 0 : mask_for_width(plen) << (width - plen);
+        return {value & mask, mask};
+      }
+      default:  // exact: either spelling of a full mask
+        return {value, rng.uniform(2) == 0 ? kFull : mask_for_width(width)};
     }
   }
 
-  // Random probes must agree with the reference on hit identity.
-  for (int probe = 0; probe < 500; ++probe) {
-    sim::Packet pkt(prog.fields.size());
-    pkt.set(prog.fields.require("h.a"), rng.uniform(1 << 16), 16);
-    pkt.set(prog.fields.require("h.b"), rng.uniform(256), 8);
-    const auto expected = reference_lookup(prog, prog.tables[0], reference, pkt);
+  /// A random valid entry (narrow key space, so keys and ties repeat).
+  p4::EntrySpec random_spec(Rng& rng) const {
+    p4::EntrySpec spec;
+    spec.key.push_back(random_component(rng, c.kind, 16));
+    spec.key[0].value &= 0x1f0f;  // few distinct values: duplicates happen
+    spec.key.push_back(random_component(rng, c.kind_b, 8));
+    spec.key[1].value &= 0x0f;
+    spec.priority = static_cast<std::int32_t>(rng.uniform(3)) - 1;
+    if (rng.uniform(2) == 0) {
+      spec.action = "mark";
+      spec.action_args = {rng.uniform(1000)};
+    } else {
+      spec.action = "tag";
+      spec.action_args = {rng.uniform(1000), rng.uniform(1000)};
+    }
+    return spec;
+  }
+
+  bool all_exact() const {
+    return c.kind == p4::MatchKind::kExact && c.kind_b == p4::MatchKind::kExact;
+  }
+};
+
+TEST_P(TableModelProperty, RandomEntriesMatchReference) {
+  ModelTable m(GetParam());
+  sim::TableState table(m.prog, m.decl());
+  Rng rng(0x10c5 + static_cast<std::uint64_t>(GetParam().kind) * 7 +
+          static_cast<std::uint64_t>(GetParam().kind_b));
+
+  // The model: live entries in handle (= insert) order, seq = handle.
+  std::vector<RefEntry> ref;
+  sim::EntryHandle next_handle = 1;
+  std::vector<sim::EntryHandle> dead;
+  std::string default_action = "_no_op_";
+  std::vector<std::uint64_t> default_args;
+  const auto fa = m.prog.fields.require("h.a");
+  const auto fb = m.prog.fields.require("h.b");
+
+  auto find_ref = [&](sim::EntryHandle h) {
+    return std::find_if(ref.begin(), ref.end(),
+                        [&](const RefEntry& e) { return e.seq == h; });
+  };
+  auto pick_handle = [&]() -> sim::EntryHandle {
+    if (!dead.empty() && (ref.empty() || rng.uniform(5) == 0)) {
+      return dead[rng.uniform(dead.size())];  // stale
+    }
+    return ref.empty() ? 999 : ref[rng.uniform(ref.size())].seq;
+  };
+  auto random_args = [&](std::size_t n) {
+    std::vector<std::uint64_t> args;
+    for (std::size_t i = 0; i < n; ++i) args.push_back(rng.uniform(1000));
+    return args;
+  };
+  auto random_action = [&](std::string& action, std::vector<std::uint64_t>& args) {
+    action = rng.uniform(2) == 0 ? "mark" : "tag";
+    const std::size_t want = action == "mark" ? 1 : 2;
+    // One op in six carries the wrong arg count and must be rejected.
+    args = random_args(rng.uniform(6) == 0 ? want + 1 : want);
+    return args.size() == want;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto op = rng.uniform(100);
+    if (op < 40) {
+      auto spec = m.random_spec(rng);
+      if (!ref.empty() && rng.uniform(5) == 0) {
+        spec.key = ref[rng.uniform(ref.size())].spec.key;  // reuse a live key
+      }
+      bool dup = false;
+      for (const auto& e : ref) {
+        dup = dup || (m.all_exact() && e.spec.key[0].value == spec.key[0].value &&
+                      e.spec.key[1].value == spec.key[1].value);
+      }
+      if (ref.size() >= m.decl().size || dup) {
+        EXPECT_THROW(table.add_entry(spec), UserError);
+      } else {
+        ASSERT_EQ(table.add_entry(spec), next_handle);
+        ref.push_back(RefEntry{spec, next_handle++});
+      }
+    } else if (op < 60) {
+      const auto h = pick_handle();
+      std::string action;
+      std::vector<std::uint64_t> args;
+      const bool valid = random_action(action, args);
+      const auto it = find_ref(h);
+      if (it == ref.end() || !valid) {
+        EXPECT_THROW(table.modify_entry(h, action, args), UserError);
+      } else {
+        table.modify_entry(h, action, args);
+        it->spec.action = action;
+        it->spec.action_args = args;
+      }
+    } else if (op < 75) {
+      const auto h = pick_handle();
+      const auto it = find_ref(h);
+      if (it == ref.end()) {
+        EXPECT_THROW(table.delete_entry(h), UserError);
+      } else {
+        table.delete_entry(h);
+        ref.erase(it);
+        dead.push_back(h);
+      }
+    } else if (op < 80) {
+      std::string action;
+      std::vector<std::uint64_t> args;
+      if (random_action(action, args)) {
+        table.set_default(action, args);
+        default_action = action;
+        default_args = args;
+      } else {
+        EXPECT_THROW(table.set_default(action, args), UserError);
+      }
+    }
+
+    // Every step: count, handle order, entry round trip and one lookup.
+    ASSERT_EQ(table.entry_count(), ref.size());
+    std::vector<sim::EntryHandle> want_handles;
+    for (const auto& e : ref) want_handles.push_back(e.seq);
+    ASSERT_EQ(table.handles(), want_handles);
+    if (!ref.empty()) {
+      const auto& e = ref[rng.uniform(ref.size())];
+      const auto got = table.entry(e.seq);
+      EXPECT_EQ(got.key, e.spec.key);
+      EXPECT_EQ(got.priority, e.spec.priority);
+      EXPECT_EQ(got.action, e.spec.action);
+      EXPECT_EQ(got.action_args, e.spec.action_args);
+    }
+    sim::Packet pkt(m.prog.fields.size());
+    if (!ref.empty() && rng.uniform(2) == 0) {
+      const auto& e = ref[rng.uniform(ref.size())];
+      pkt.set(fa, e.spec.key[0].value, 16);
+      pkt.set(fb, e.spec.key[1].value, 8);
+    } else {
+      pkt.set(fa, rng.uniform(1 << 16), 16);
+      pkt.set(fb, rng.uniform(256), 8);
+    }
+    const auto expected = reference_lookup(m.prog, m.decl(), ref, pkt);
     const auto got = table.lookup(pkt);
     ASSERT_EQ(got.hit, expected.has_value());
+    const std::vector<std::uint64_t> got_args(got.args.begin(), got.args.end());
     if (expected.has_value()) {
-      EXPECT_EQ((*got.args)[0], reference[*expected].spec.action_args[0]);
+      const auto& e = ref[*expected];
+      EXPECT_EQ(got.handle, e.seq);
+      EXPECT_EQ(m.prog.actions[got.action].name, e.spec.action);
+      EXPECT_EQ(got_args, e.spec.action_args);
+    } else {
+      EXPECT_EQ(m.prog.actions[got.action].name, default_action);
+      EXPECT_EQ(got_args, default_args);
     }
   }
+  EXPECT_GT(next_handle, 300u);  // the stream did churn
+}
+
+TEST_P(TableModelProperty, ChurnStorageFollowsLiveEntries) {
+  ModelTable m(GetParam());
+  Rng rng(0xc4u + static_cast<std::uint64_t>(GetParam().kind));
+  constexpr std::size_t kLive = 32;
+
+  // Storage of a fresh table filled once to the peak live count.
+  sim::TableState filled(m.prog, m.decl());
+  while (filled.entry_count() < kLive + 1) {
+    try {
+      filled.add_entry(m.random_spec(rng));
+    } catch (const UserError&) {
+      // duplicate exact key: draw again
+    }
+  }
+
+  // Thousands of handles issued, never more than kLive + 1 live.
+  sim::TableState churned(m.prog, m.decl());
+  sim::EntryHandle last = 0;
+  while (last < 5000) {
+    try {
+      last = churned.add_entry(m.random_spec(rng));
+    } catch (const UserError&) {
+      continue;
+    }
+    if (churned.entry_count() > kLive) {
+      const auto hs = churned.handles();
+      churned.delete_entry(hs[rng.uniform(hs.size())]);
+    }
+  }
+  EXPECT_EQ(churned.entry_count(), kLive);
+  EXPECT_LE(churned.storage_bytes(), 2 * filled.storage_bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, TableModelProperty,
-    ::testing::Values(MatchModelCase{p4::MatchKind::kExact, "exact"},
-                      MatchModelCase{p4::MatchKind::kTernary, "ternary"},
-                      MatchModelCase{p4::MatchKind::kLpm, "lpm"}),
+    ::testing::Values(
+        MatchModelCase{p4::MatchKind::kExact, "exact"},
+        MatchModelCase{p4::MatchKind::kTernary, "ternary"},
+        MatchModelCase{p4::MatchKind::kLpm, "lpm"},
+        MatchModelCase{p4::MatchKind::kExact, "exact_exact", p4::MatchKind::kExact},
+        MatchModelCase{p4::MatchKind::kLpm, "lpm_lpm", p4::MatchKind::kLpm},
+        MatchModelCase{p4::MatchKind::kLpm, "lpm_exact", p4::MatchKind::kExact}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------------

@@ -247,6 +247,30 @@ TEST(FaultInjector, ScheduleReplaysDeterministically) {
   EXPECT_EQ(a.front(), "10000 n0-n2 down");
 }
 
+TEST(Fabric, SwitchesShareOneImage) {
+  sim::EventLoop loop;
+  auto artifacts = compile::compile_source(apps::gray_failure_p4r_source());
+  net::Fabric fabric(loop, artifacts.prog, net::Topology::leaf_spine(2, 2, 1));
+  const auto& first = fabric.switch_at(0);
+  for (net::NodeId n = 1; n < fabric.num_switches(); ++n) {
+    EXPECT_EQ(fabric.switch_at(n).image(), first.image());
+    EXPECT_EQ(&fabric.switch_at(n).program(), &first.program());
+  }
+  EXPECT_EQ(&fabric.factory().program(), &first.program());
+  // A standalone switch builds its own.
+  sim::Switch solo(loop, artifacts.prog);
+  EXPECT_NE(solo.image(), first.image());
+  EXPECT_NE(&solo.program(), &first.program());
+  // Tables are per switch: an entry on one switch is not on another.
+  p4::EntrySpec spec;
+  spec.key = {{7, ~std::uint64_t{0}}, {0, ~std::uint64_t{0}}};
+  spec.action = "set_egress";
+  spec.action_args = {1};
+  fabric.switch_at(0).table("route").add_entry(spec);
+  EXPECT_EQ(fabric.switch_at(0).table("route").entry_count(), 1u);
+  EXPECT_EQ(fabric.switch_at(1).table("route").entry_count(), 0u);
+}
+
 TEST(FaultInjector, FlapEndsUp) {
   sim::EventLoop loop;
   auto artifacts = compile::compile_source(apps::gray_failure_p4r_source());

@@ -121,12 +121,12 @@ TEST(TableStateTest, ExactHitAndMiss) {
 
   auto hit = tbl.lookup(fx.packet(7, 0));
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(*hit.action, "set_c");
-  EXPECT_EQ((*hit.args)[0], 42u);
+  EXPECT_EQ(fx.prog.actions[hit.action].name, "set_c");
+  EXPECT_EQ(hit.args[0], 42u);
 
   auto miss = tbl.lookup(fx.packet(8, 0));
   EXPECT_FALSE(miss.hit);
-  EXPECT_EQ(*miss.action, "_no_op_");
+  EXPECT_EQ(fx.prog.actions[miss.action].name, "_no_op_");
 }
 
 TEST(TableStateTest, ExactDuplicateKeyRejected) {
@@ -151,9 +151,9 @@ TEST(TableStateTest, TernaryPriorityWins) {
   tbl.add_entry(entry({{0, 0}}, 1, /*prio=*/0));        // match-all
   tbl.add_entry(entry({{7, kFull}}, 2, /*prio=*/10));   // specific, higher prio
   auto r7 = tbl.lookup(fx.packet(7, 0));
-  EXPECT_EQ((*r7.args)[0], 2u);
+  EXPECT_EQ(r7.args[0], 2u);
   auto r8 = tbl.lookup(fx.packet(8, 0));
-  EXPECT_EQ((*r8.args)[0], 1u);
+  EXPECT_EQ(r8.args[0], 1u);
 }
 
 TEST(TableStateTest, TernaryTieBreaksByInsertOrder) {
@@ -162,7 +162,7 @@ TEST(TableStateTest, TernaryTieBreaksByInsertOrder) {
   TableState tbl(fx.prog, decl);
   tbl.add_entry(entry({{0, 0}}, 1, 5));
   tbl.add_entry(entry({{0, 0}}, 2, 5));
-  EXPECT_EQ((*tbl.lookup(fx.packet(0, 0)).args)[0], 1u);
+  EXPECT_EQ(tbl.lookup(fx.packet(0, 0)).args[0], 1u);
 }
 
 TEST(TableStateTest, LpmLongestPrefixWins) {
@@ -173,8 +173,8 @@ TEST(TableStateTest, LpmLongestPrefixWins) {
   const std::uint64_t m8 = 0xff000000, m16 = 0xffff0000;
   tbl.add_entry(entry({{0x0a000000, m8}}, 8));
   tbl.add_entry(entry({{0x0a0b0000, m16}}, 16));
-  EXPECT_EQ((*tbl.lookup(fx.packet(0, 0x0a0b0c0d)).args)[0], 16u);
-  EXPECT_EQ((*tbl.lookup(fx.packet(0, 0x0a990c0d)).args)[0], 8u);
+  EXPECT_EQ(tbl.lookup(fx.packet(0, 0x0a0b0c0d)).args[0], 16u);
+  EXPECT_EQ(tbl.lookup(fx.packet(0, 0x0a990c0d)).args[0], 8u);
   EXPECT_FALSE(tbl.lookup(fx.packet(0, 0x0b000000)).hit);
 }
 
@@ -184,7 +184,7 @@ TEST(TableStateTest, ModifyAndDelete) {
   TableState tbl(fx.prog, decl);
   const auto h = tbl.add_entry(entry({{7, kFull}}, 1));
   tbl.modify_entry(h, "set_c", {9});
-  EXPECT_EQ((*tbl.lookup(fx.packet(7, 0)).args)[0], 9u);
+  EXPECT_EQ(tbl.lookup(fx.packet(7, 0)).args[0], 9u);
   tbl.delete_entry(h);
   EXPECT_FALSE(tbl.lookup(fx.packet(7, 0)).hit);
   EXPECT_THROW(tbl.delete_entry(h), UserError);
@@ -222,6 +222,20 @@ TEST(TableStateTest, UnboundActionRejected) {
   EXPECT_THROW(tbl.set_default("_no_op_", {}), UserError);
 }
 
+TEST(TableStateTest, SetDefaultChecksArgCount) {
+  SimFixture fx;
+  auto decl = fx.make_table({{fx.prog.fields.require("h.a"), p4::MatchKind::kExact, ""}});
+  TableState tbl(fx.prog, decl);
+  EXPECT_THROW(tbl.set_default("set_c", {}), UserError);
+  EXPECT_THROW(tbl.set_default("set_c", {1, 2}), UserError);
+  // A rejected default leaves the old one in place.
+  auto miss = tbl.lookup(fx.packet(0, 0));
+  EXPECT_EQ(fx.prog.actions[miss.action].name, "_no_op_");
+  EXPECT_TRUE(miss.args.empty());
+  tbl.set_default("set_c", {3});
+  EXPECT_EQ(tbl.lookup(fx.packet(0, 0)).args[0], 3u);
+}
+
 TEST(TableStateTest, DefaultActionOnDefaultOnlyTable) {
   SimFixture fx;
   auto decl = fx.make_table({});
@@ -230,10 +244,10 @@ TEST(TableStateTest, DefaultActionOnDefaultOnlyTable) {
   TableState tbl(fx.prog, decl);
   auto r = tbl.lookup(fx.packet(0, 0));
   EXPECT_FALSE(r.hit);
-  EXPECT_EQ(*r.action, "set_c");
-  EXPECT_EQ((*r.args)[0], 5u);
+  EXPECT_EQ(fx.prog.actions[r.action].name, "set_c");
+  EXPECT_EQ(r.args[0], 5u);
   tbl.set_default("set_c", {6});
-  EXPECT_EQ((*tbl.lookup(fx.packet(0, 0)).args)[0], 6u);
+  EXPECT_EQ(tbl.lookup(fx.packet(0, 0)).args[0], 6u);
 }
 
 // ---------------------------------------------------------------------------

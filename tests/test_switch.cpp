@@ -156,6 +156,24 @@ TEST_F(SwitchFixture, DownPortDropsRxAndTx) {
   EXPECT_EQ(sw->port_stats(3).tx_pkts, 1u);
 }
 
+TEST_F(SwitchFixture, IdlePortHasZeroDepthAndNoDrops) {
+  add_route(1, "set_egress", {1});
+  sw->inject(make(1), 0);
+  loop.run();
+  EXPECT_EQ(sw->port_stats(1).tx_pkts, 1u);
+  // Port 5 never queued a packet.
+  EXPECT_EQ(sw->queue_depth_pkts(5), 0u);
+  EXPECT_EQ(sw->queue_depth_bytes(5), 0u);
+  sw->set_port_up(5, false);
+  EXPECT_EQ(sw->traffic_manager().stats(5).tail_drops, 0u);
+  EXPECT_EQ(sw->traffic_manager().stats(5).enq_pkts, 0u);
+  sw->set_port_up(5, true);
+  add_route(2, "set_egress", {5});
+  sw->inject(make(2), 0);
+  loop.run();
+  EXPECT_EQ(sw->port_stats(5).tx_pkts, 1u);
+}
+
 TEST_F(SwitchFixture, RecirculationReprocessesPacket) {
   // dst 7 recirculates; after recirculation the packet hits route again and
   // (dst unchanged) recirculates forever — so use a chain: first pass
