@@ -7,25 +7,6 @@
 
 namespace mantis::int_tel {
 
-namespace {
-
-/// The switch a host hangs off (the other end of its single uplink).
-net::NodeId uplink_switch(const net::Topology& topo, net::NodeId host) {
-  const int li = topo.link_at(host, 0);
-  expects(li >= 0, "IntFabric: host has no uplink");
-  const auto& l = topo.links[static_cast<std::size_t>(li)];
-  return l.a == host ? l.b : l.a;
-}
-
-int port_toward(const net::Topology& topo, net::NodeId from, net::NodeId to) {
-  const int li = topo.link_between(from, to);
-  expects(li >= 0, "IntFabric: nodes not adjacent");
-  const auto& l = topo.links[static_cast<std::size_t>(li)];
-  return l.a == from ? l.port_a : l.port_b;
-}
-
-}  // namespace
-
 IntFabric::IntFabric(net::Fabric& fabric, IntFabricConfig cfg)
     : fabric_(&fabric), cfg_(cfg) {
   const auto& topo = fabric.topo();
@@ -68,8 +49,7 @@ std::size_t IntFabric::start_probes(Duration period, Time until) {
   // (dst_node is addr-sorted, so the first hit is the lowest address).
   std::map<net::NodeId, std::uint32_t> rep_addr;
   for (const auto& [addr, host] : topo.dst_node) {
-    const net::NodeId sw = uplink_switch(topo, host);
-    rep_addr.emplace(sw, addr);
+    rep_addr.emplace(fabric_->shard_of(host), addr);  // its uplink switch
   }
 
   // Every two-hop path a -> via -> b between host-bearing switches, in
@@ -98,7 +78,8 @@ std::size_t IntFabric::start_probes(Duration period, Time until) {
   for (const auto& path : paths_) {
     const std::uint32_t src_addr = rep_addr.at(path.src);
     const std::uint32_t dst_addr = rep_addr.at(path.dst);
-    const int out_port = port_toward(topo, path.src, path.via);
+    const int out_port =
+        fabric_->link_between(path.src, path.via).end_of(path.src).port;
     auto make = [this, path, src_addr, dst_addr, out_port, f_src, f_dst,
                  f_proto]() {
       auto pkt = fabric_->factory().make(cfg_.probe_bytes);

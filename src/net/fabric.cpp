@@ -1,5 +1,6 @@
 #include "net/fabric.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -12,15 +13,14 @@ namespace mantis::net {
 // ---------------------------------------------------------------------------
 
 void Host::send(sim::Packet pkt) {
+  expects(uplink_ != nullptr, "Host::send: host has no uplink");
   if (pkt.origin_time() < 0) {
     pkt.set_origin_time(fabric_->loop().now());
   }
   ++tx_pkts_;
   fabric_->stats_.host_tx_pkts.fetch_add(1, std::memory_order_relaxed);
   fabric_->host_tx_ctr_->add();
-  const int li = fabric_->topo_.link_at(node_, 0);
-  expects(li >= 0, "Host::send: host has no uplink");
-  fabric_->links_[static_cast<std::size_t>(li)]->transmit(node_, std::move(pkt));
+  uplink_->transmit(node_, std::move(pkt));
 }
 
 void Host::receive(sim::Packet pkt) {
@@ -45,6 +45,21 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
   expects(topo_.num_switches >= 1,
           "Fabric: topology must declare num_switches");
   expects(topo_.num_switches <= topo_.num_nodes, "Fabric: bad num_switches");
+  // The wiring tables below are indexed by these fields.
+  for (std::size_t i = 0; i < topo_.links.size(); ++i) {
+    const auto& spec = topo_.links[i];
+    if (spec.a < 0 || spec.a >= topo_.num_nodes || spec.b < 0 ||
+        spec.b >= topo_.num_nodes) {
+      throw UserError("Fabric: link " + std::to_string(i) + " (n" +
+                      std::to_string(spec.a) + "-n" + std::to_string(spec.b) +
+                      ") names a node outside [0, " +
+                      std::to_string(topo_.num_nodes) + ")");
+    }
+    if (spec.port_a < 0 || spec.port_b < 0) {
+      throw UserError("Fabric: link " + std::to_string(i) +
+                      " has a negative port");
+    }
+  }
 
   auto& metrics = loop.telemetry().metrics();
   host_tx_ctr_ = &metrics.counter("net.fabric.host_tx_pkts");
@@ -55,26 +70,52 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
   transit_hist_ = &metrics.histogram("net.fabric.transit_ns", transit);
 
   // Switches first: factory() points at the program of their one shared
-  // image, prepared and validated once for the whole fabric.
+  // image, prepared and validated once for the whole fabric. The hook hands
+  // each departing packet over, so it moves onto its link uncopied.
   const auto image = std::make_shared<const sim::SwitchImage>(prog);
   for (NodeId n = 0; n < topo_.num_switches; ++n) {
     switches_.push_back(
         std::make_unique<sim::Switch>(loop, image, cfg_.switch_cfg));
     switches_.back()->set_on_transmit(
-        [this, n](const sim::Packet& pkt, int port, Time) {
-          deliver_from(n, port, pkt);
+        [this, n](sim::Packet&& pkt, int port, Time) {
+          deliver_from(n, port, std::move(pkt));
         });
   }
-  // Hosts: reverse-map their address from dst_node (0 if unlisted).
   for (NodeId n = topo_.num_switches; n < topo_.num_nodes; ++n) {
-    std::uint32_t addr = 0;
-    for (const auto& [a, node] : topo_.dst_node) {
-      if (node == n) {
-        addr = a;
-        break;
-      }
+    hosts_.push_back(std::unique_ptr<Host>(new Host(*this, n)));
+  }
+  // A host's address is the lowest one dst_node lists for it (0 if none):
+  // walking the address-sorted map backwards writes that one last.
+  for (auto it = topo_.dst_node.rbegin(); it != topo_.dst_node.rend(); ++it) {
+    if (it->second >= topo_.num_switches && it->second < topo_.num_nodes) {
+      hosts_[static_cast<std::size_t>(it->second - topo_.num_switches)]
+          ->address_ = it->first;
     }
-    hosts_.emplace(n, std::unique_ptr<Host>(new Host(*this, n, addr)));
+  }
+
+  // (node, port) -> link table: each node gets slots for ports 0 through its
+  // highest wired one; the first declared link on a port wins.
+  const auto num_nodes = static_cast<std::size_t>(topo_.num_nodes);
+  port_base_.assign(num_nodes + 1, 0);
+  for (const auto& spec : topo_.links) {
+    for (const auto& [node, port] :
+         {std::pair{spec.a, spec.port_a}, std::pair{spec.b, spec.port_b}}) {
+      auto& ports = port_base_[static_cast<std::size_t>(node) + 1];
+      ports = std::max(ports, static_cast<std::size_t>(port) + 1);
+    }
+  }
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    port_base_[n + 1] += port_base_[n];
+  }
+  port_link_.assign(port_base_[num_nodes], -1);
+  for (std::size_t i = 0; i < topo_.links.size(); ++i) {
+    const auto& spec = topo_.links[i];
+    for (const auto& [node, port] :
+         {std::pair{spec.a, spec.port_a}, std::pair{spec.b, spec.port_b}}) {
+      int& slot = port_link_[port_base_[static_cast<std::size_t>(node)] +
+                             static_cast<std::size_t>(port)];
+      if (slot < 0) slot = static_cast<int>(i);
+    }
   }
 
   // Links, wired through arrive().
@@ -94,10 +135,12 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
         model, [this](sim::Packet pkt, NodeId node, int port) {
           arrive(std::move(pkt), node, port);
         }));
-    port_link_.emplace(std::make_pair(spec.a, spec.port_a), i);
-    port_link_.emplace(std::make_pair(spec.b, spec.port_b), i);
   }
   last_busy_ns_.assign(links_.size(), {0, 0});
+  for (auto& host : hosts_) {
+    const int li = link_at(host->node_, 0);
+    if (li >= 0) host->uplink_ = links_[static_cast<std::size_t>(li)].get();
+  }
 
   // Shard tagging: deliveries target the receiver's shard. The same tags
   // are stamped under the sequential engine, so canonical keys — and
@@ -111,7 +154,7 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
 int Fabric::shard_of(NodeId node) const {
   expects(node >= 0 && node < topo_.num_nodes, "Fabric::shard_of: bad node");
   if (topo_.is_switch(node)) return node;
-  const int li = topo_.link_at(node, 0);
+  const int li = link_at(node, 0);
   expects(li >= 0, "Fabric::shard_of: host has no uplink");
   const auto& spec = topo_.links[static_cast<std::size_t>(li)];
   const NodeId peer = spec.a == node ? spec.b : spec.a;
@@ -130,12 +173,11 @@ sim::Switch& Fabric::switch_at(NodeId n) {
 }
 
 Host& Fabric::host_at(NodeId n) {
-  auto it = hosts_.find(n);
-  if (it == hosts_.end()) {
+  if (n < topo_.num_switches || n >= topo_.num_nodes) {
     throw UserError("Fabric::host_at: node " + std::to_string(n) +
                     " is not a host");
   }
-  return *it->second;
+  return *hosts_[static_cast<std::size_t>(n - topo_.num_switches)];
 }
 
 Host& Fabric::host_for(std::uint32_t addr) {
@@ -228,13 +270,13 @@ void Fabric::start_host_traffic(NodeId host, Duration period, Time until,
 }
 
 void Fabric::deliver_from(NodeId node, int port, sim::Packet pkt) {
-  const auto it = port_link_.find({node, port});
-  if (it == port_link_.end()) {
+  const int li = link_at(node, port);
+  if (li < 0) {
     stats_.unwired_tx_pkts.fetch_add(1, std::memory_order_relaxed);
     unwired_ctr_->add();
     return;
   }
-  links_[it->second]->transmit(node, std::move(pkt));
+  links_[static_cast<std::size_t>(li)]->transmit(node, std::move(pkt));
 }
 
 void Fabric::arrive(sim::Packet pkt, NodeId node, int port) {

@@ -39,7 +39,8 @@ class Host {
   /// This host's address in the topology's dst_node map (0 if unlisted).
   std::uint32_t address() const { return address_; }
 
-  /// Transmits over the uplink; stamps the packet's origin time.
+  /// Transmits over the uplink (port 0); stamps the packet's origin time.
+  /// Throws if the host has no uplink.
   void send(sim::Packet pkt);
 
   void set_on_receive(ReceiveHook hook) { on_receive_ = std::move(hook); }
@@ -50,13 +51,13 @@ class Host {
 
  private:
   friend class Fabric;
-  Host(Fabric& fabric, NodeId node, std::uint32_t address)
-      : fabric_(&fabric), node_(node), address_(address) {}
+  Host(Fabric& fabric, NodeId node) : fabric_(&fabric), node_(node) {}
   void receive(sim::Packet pkt);
 
   Fabric* fabric_;
   NodeId node_;
   std::uint32_t address_ = 0;
+  Link* uplink_ = nullptr;  ///< the link on port 0; null when unwired
   std::uint64_t tx_pkts_ = 0;
   std::uint64_t rx_pkts_ = 0;
   Time last_rx_time_ = -1;
@@ -75,7 +76,9 @@ struct FabricConfig {
 
 class Fabric {
  public:
-  /// `topo.num_switches` must be set (>= 1). Copies `topo`.
+  /// `topo.num_switches` must be set (>= 1). Copies `topo` and resolves its
+  /// wiring once: a link endpoint outside [0, num_nodes) or a negative port
+  /// is a UserError.
   Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
          FabricConfig cfg = {});
 
@@ -91,6 +94,14 @@ class Fabric {
 
   std::size_t num_links() const { return links_.size(); }
   Link& link(std::size_t i);
+  /// Topology::link_at in O(1): the link (index into topo().links) attached
+  /// to (`node`, `port`), the first declared one if several are, or -1.
+  int link_at(NodeId node, int port) const {
+    if (node < 0 || node >= topo_.num_nodes || port < 0) return -1;
+    const auto n = static_cast<std::size_t>(node);
+    const auto slot = port_base_[n] + static_cast<std::size_t>(port);
+    return slot < port_base_[n + 1] ? port_link_[slot] : -1;
+  }
   /// The link connecting nodes `a` and `b`; throws if absent.
   Link& link_between(NodeId a, NodeId b);
 
@@ -149,10 +160,13 @@ class Fabric {
   Topology topo_;
   FabricConfig cfg_;
   std::vector<std::unique_ptr<sim::Switch>> switches_;
-  std::map<NodeId, std::unique_ptr<Host>> hosts_;
+  /// By node id - num_switches.
+  std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Link>> links_;
-  /// (node, port) -> link index; mirrors topo_.links but O(1) at tx time.
-  std::map<std::pair<NodeId, int>, std::size_t> port_link_;
+  /// (node, port) -> link index, -1 if unwired: node n's ports 0.. its
+  /// highest wired port sit at [port_base_[n], port_base_[n + 1]).
+  std::vector<std::size_t> port_base_;
+  std::vector<int> port_link_;
   FabricStats stats_;
 
   Time last_sample_time_ = 0;

@@ -53,6 +53,10 @@ class Link {
   /// 0 = a->b, 1 = b->a; throws if `from` is not an endpoint.
   int direction_from(NodeId from) const;
   const End& receiver(int dir) const { return dir == 0 ? b_ : a_; }
+  /// `node`'s end (its port on this link); throws if not an endpoint.
+  const End& end_of(NodeId node) const {
+    return direction_from(node) == 0 ? a_ : b_;
+  }
 
   /// Entry point: `from`'s side puts the packet on the wire. Serialization
   /// occupies the direction FIFO; delivery (or loss) happens after

@@ -29,21 +29,6 @@ struct SampleTick {
 
 constexpr Duration kTelemetryWindow = 50 * kMicrosecond;
 
-int port_toward(const Topology& topo, NodeId from, NodeId to) {
-  const int li = topo.link_between(from, to);
-  expects(li >= 0, "port_toward: nodes not adjacent");
-  const auto& l = topo.links[static_cast<std::size_t>(li)];
-  return l.a == from ? l.port_a : l.port_b;
-}
-
-/// The leaf a host hangs off (the other end of its uplink).
-NodeId leaf_of(const Topology& topo, NodeId host) {
-  const int li = topo.link_at(host, 0);
-  expects(li >= 0, "leaf_of: host has no uplink");
-  const auto& l = topo.links[static_cast<std::size_t>(li)];
-  return l.a == host ? l.b : l.a;
-}
-
 std::optional<std::uint32_t> int_sampling(bool enable, std::uint32_t every) {
   return enable ? std::optional<std::uint32_t>(every) : std::nullopt;
 }
@@ -134,7 +119,7 @@ FabricScenario::FaultSite FabricScenario::schedule_first_hop_fault(
   FaultSite site;
   site.port = topo.compute_routes_from(0, {}).at(dst_addr);
   expects(site.port >= 0, "FabricScenario: destination unreachable");
-  site.link = topo.link_at(0, site.port);
+  site.link = fabric_->link_at(0, site.port);
   expects(site.link >= 0, "FabricScenario: no link on faulted port");
 
   if (inject) {
@@ -369,17 +354,14 @@ EcmpScenarioResult EcmpFabricScenario::run() {
 
   // Prologue: leaves install route entries for their *local* hosts only
   // (remote traffic falls through to ECMP); spines for every destination.
-  const auto& topo = fabric_->topo();
-  harness_->run_prologue([&topo](NodeId node, agent::ReactionContext& ctx) {
-    for (const auto& [addr, host] : topo.dst_node) {
-      const NodeId leaf = leaf_of(topo, host);
-      int port = -1;
-      if (node < kEcmpLeaves) {
-        if (leaf != node) continue;
-        port = port_toward(topo, node, host);
-      } else {
-        port = port_toward(topo, node, leaf);
-      }
+  Fabric& fabric = *fabric_;
+  harness_->run_prologue([&fabric](NodeId node, agent::ReactionContext& ctx) {
+    for (const auto& [addr, host] : fabric.topo().dst_node) {
+      // Hosts share their leaf's shard.
+      const NodeId leaf = fabric.shard_of(host);
+      if (node < kEcmpLeaves && leaf != node) continue;
+      const NodeId toward = node < kEcmpLeaves ? host : leaf;
+      const int port = fabric.link_between(node, toward).end_of(node).port;
       p4::EntrySpec spec;
       spec.key.push_back(p4::MatchValue{addr, ~std::uint64_t{0}});
       spec.action = "set_egress";

@@ -203,8 +203,8 @@ void Switch::on_dequeue(Packet pkt, int port) {
   }
   if (on_transmit_) {
     loop_->schedule_in(cfg_.egress_latency,
-                       [this, port, p = std::move(pkt)]() {
-                         on_transmit_(p, port, loop_->now());
+                       [this, port, p = std::move(pkt)]() mutable {
+                         on_transmit_(std::move(p), port, loop_->now());
                        });
   }
 }

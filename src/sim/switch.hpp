@@ -64,7 +64,9 @@ class Switch {
   void inject(Packet pkt, int port) { inject_internal(std::move(pkt), port, false); }
 
   /// Called when a packet leaves the switch: (packet, egress port, tx time).
-  using TransmitHook = std::function<void(const Packet&, int, Time)>;
+  /// The hook is handed the packet and may move it on; hooks that take
+  /// `const Packet&` bind as well.
+  using TransmitHook = std::function<void(Packet&&, int, Time)>;
   void set_on_transmit(TransmitHook hook) { on_transmit_ = std::move(hook); }
 
   /// Egress-stage hook, invoked at dequeue time after the egress pipeline

@@ -12,7 +12,9 @@
 // and at each round barrier the engine merges all lanes by that key and
 // applies the operations on the main thread. The merged order equals the
 // order a sequential run would have produced, because sequential execution
-// order *is* the canonical key order (see sim/event_loop.hpp).
+// order *is* the canonical key order (see sim/event_loop.hpp). Each lane is
+// recorded in that order too, so the barrier merges the lanes (k-way, over
+// their heads) rather than sorting them.
 //
 // When no lane is installed (sequential engine, control-plane phases,
 // everything outside the fabric) the sinks record directly, exactly as
@@ -65,8 +67,9 @@ class ShardLane {
   bool empty() const { return ops_.empty(); }
 
   /// Merges every lane's deferred operations into canonical order —
-  /// (t, src, seq, emit) — applies them, and clears the lanes. Must run on
-  /// a thread with no lane installed (the engine's barrier phase).
+  /// (t, src, seq, emit) — applies them, and clears the lanes. Each lane
+  /// must already be in that order (a group's lane is). Must run on a
+  /// thread with no lane installed (the engine's barrier phase).
   static void merge_apply(const std::vector<ShardLane*>& lanes);
 
  private:

@@ -49,7 +49,7 @@ FlowClasses::FlowClasses(net::Fabric& fabric, FlowClassesConfig cfg,
   for (std::size_t c = 0; c < endpoints.size(); ++c) {
     auto& cs = classes_[c];
     cs.ep = endpoints[c];
-    cs.src_node = fabric.host_for(cs.ep.src_addr).node();
+    cs.src = &fabric.host_for(cs.ep.src_addr);
     cs.flows = flows[c];
     cs.rate_pps = cfg_.init_rate_pps;
     dst_addrs.insert(cs.ep.dst_addr);
@@ -59,8 +59,8 @@ FlowClasses::FlowClasses(net::Fabric& fabric, FlowClassesConfig cfg,
   // traffic — non-sample packets (srcAddr outside the class range) are
   // ignored.
   for (const std::uint32_t addr : dst_addrs) {
-    fabric.host_at(fabric.host_for(addr).node())
-        .set_on_receive([this](const sim::Packet& pkt, Time now) {
+    fabric.host_for(addr).set_on_receive(
+        [this](const sim::Packet& pkt, Time now) {
           on_host_receive(pkt, now);
         });
   }
@@ -116,15 +116,15 @@ void FlowClasses::emit_epoch(std::size_t c, std::uint64_t e, Time until) {
   // canonical keys are identical under any engine.
   const Duration gap = cfg_.epoch / static_cast<Duration>(samples);
   for (std::uint32_t j = 0; j < samples; ++j) {
-    fabric_->schedule_for_node(cs.src_node, epoch_start + j * gap,
+    fabric_->schedule_for_node(cs.src->node(), epoch_start + j * gap,
                                [this, c] { send_sample(c); });
   }
   // AIMD tick for this epoch: half an epoch after the arrival window
   // closes, so every delivery cell write is barrier-ordered before it.
   fabric_->schedule_for_node(
-      cs.src_node, epoch_start + cfg_.epoch + cfg_.epoch / 2,
+      cs.src->node(), epoch_start + cfg_.epoch + cfg_.epoch / 2,
       [this, c, e] { adjust(c, e); });
-  fabric_->schedule_for_node(cs.src_node, epoch_start + cfg_.epoch,
+  fabric_->schedule_for_node(cs.src->node(), epoch_start + cfg_.epoch,
                              [this, c, e, until] {
                                emit_epoch(c, e + 1, until);
                              });
@@ -135,7 +135,7 @@ void FlowClasses::send_sample(std::size_t c) {
   auto pkt = fabric_->factory().make(cfg_.pkt_bytes);
   pkt.set(f_src_, kClassAddrBase + static_cast<std::uint32_t>(c), 32);
   pkt.set(f_dst_, cs.ep.dst_addr, 32);
-  fabric_->host_for(cs.ep.src_addr).send(std::move(pkt));
+  cs.src->send(std::move(pkt));
   ++cs.sent_total;
 }
 

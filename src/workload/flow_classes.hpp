@@ -99,7 +99,7 @@ class FlowClasses {
  private:
   struct ClassState {
     Endpoint ep;
-    net::NodeId src_node = -1;
+    net::Host* src = nullptr;  ///< the host owning ep.src_addr
     std::uint64_t flows = 0;
     double rate_pps = 0;  ///< per-flow; aggregate = rate_pps * flows
     /// Samples emitted, per epoch ring slot (src-shard-only, plain).

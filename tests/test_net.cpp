@@ -3,6 +3,7 @@
 // and the end-to-end fabric scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "apps/gray_failure.hpp"
@@ -269,6 +270,93 @@ TEST(Fabric, SwitchesShareOneImage) {
   fabric.switch_at(0).table("route").add_entry(spec);
   EXPECT_EQ(fabric.switch_at(0).table("route").entry_count(), 1u);
   EXPECT_EQ(fabric.switch_at(1).table("route").entry_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Fabric wiring tables
+// ---------------------------------------------------------------------------
+
+TEST(FabricWiring, LinkTableMatchesTopologyScan) {
+  const auto artifacts =
+      compile::compile_source(apps::gray_failure_p4r_source());
+  // A leaf-spine with a second link declared on switch 0's port 0 (the
+  // first declared one wins, as in Topology::link_at) and three addresses
+  // for host 4 (the lowest is its address).
+  auto doubled = net::Topology::leaf_spine(2, 2, 1);
+  doubled.links.push_back({0, 3, 0, 7, 1.0});
+  doubled.dst_node.emplace(0x0a0000ffu, 4);
+  doubled.dst_node.emplace(0x09000000u, 4);
+  const std::vector<net::Topology> topos = {
+      net::Topology::leaf_spine(2, 3, 2), net::Topology::ring(4, 2),
+      net::Topology::clos(2, 2, 2, 4, 2), net::Topology::fat_tree(4), doubled};
+  for (const auto& topo : topos) {
+    sim::EventLoop loop;
+    net::Fabric fabric(loop, artifacts.prog, topo);
+    for (net::NodeId n = 0; n < topo.num_nodes; ++n) {
+      int highest = -1;
+      for (const auto& l : topo.links) {
+        if (l.a == n) highest = std::max(highest, l.port_a);
+        if (l.b == n) highest = std::max(highest, l.port_b);
+      }
+      for (int p = -1; p <= highest + 1; ++p) {
+        EXPECT_EQ(fabric.link_at(n, p), topo.link_at(n, p))
+            << "node " << n << " port " << p;
+      }
+      if (topo.is_switch(n)) {
+        EXPECT_EQ(fabric.shard_of(n), n);
+        continue;
+      }
+      // A host runs on its uplink switch's shard.
+      const int up = topo.link_at(n, 0);
+      ASSERT_GE(up, 0);
+      const auto& l = topo.links[static_cast<std::size_t>(up)];
+      EXPECT_EQ(fabric.shard_of(n), l.a == n ? l.b : l.a) << "host " << n;
+      std::uint32_t addr = 0;
+      for (const auto& [a, node] : topo.dst_node) {
+        if (node == n) {
+          addr = a;
+          break;
+        }
+      }
+      EXPECT_EQ(fabric.host_at(n).address(), addr) << "host " << n;
+    }
+    EXPECT_EQ(fabric.link_at(-1, 0), -1);
+    EXPECT_EQ(fabric.link_at(topo.num_nodes, 0), -1);
+  }
+  EXPECT_EQ(doubled.link_at(0, 0), 0);
+  EXPECT_EQ(doubled.dst_node.begin()->second, 4);
+}
+
+TEST(FabricWiring, HostWithoutUplinkConstructsButCannotSend) {
+  const auto artifacts =
+      compile::compile_source(apps::gray_failure_p4r_source());
+  auto topo = net::Topology::leaf_spine(2, 2, 1);
+  const net::NodeId lonely = topo.num_nodes++;  // a host with no links
+  sim::EventLoop loop;
+  net::Fabric fabric(loop, artifacts.prog, topo);
+  EXPECT_EQ(fabric.link_at(lonely, 0), -1);
+  EXPECT_EQ(fabric.host_at(lonely).address(), 0u);
+  EXPECT_THROW(fabric.shard_of(lonely), PreconditionError);
+  EXPECT_THROW(fabric.host_at(lonely).send(fabric.factory().make(64)),
+               PreconditionError);
+  EXPECT_EQ(fabric.stats().host_tx_pkts, 0u);
+}
+
+TEST(FabricWiring, LinkOutsideTheNodeRangeOrOnANegativePortIsUserError) {
+  const auto artifacts =
+      compile::compile_source(apps::gray_failure_p4r_source());
+  auto build = [&](net::Topology::Link extra) {
+    auto topo = net::Topology::leaf_spine(2, 2, 1);
+    topo.links.push_back(extra);
+    sim::EventLoop loop;
+    net::Fabric fabric(loop, artifacts.prog, std::move(topo));
+  };
+  const int nodes = net::Topology::leaf_spine(2, 2, 1).num_nodes;
+  EXPECT_THROW(build({0, nodes, 5, 0, 1.0}), UserError);
+  EXPECT_THROW(build({-1, 0, 0, 5, 1.0}), UserError);
+  EXPECT_THROW(build({0, 1, -1, 7, 1.0}), UserError);
+  EXPECT_THROW(build({0, 1, 7, -2, 1.0}), UserError);
+  EXPECT_NO_THROW(build({0, 1, 7, 7, 1.0}));
 }
 
 TEST(FaultInjector, FlapEndsUp) {

@@ -96,15 +96,17 @@ TEST(StressFabric, SixtyFourSwitchGrayFailure) {
 // ---------------------------------------------------------------------------
 // Datacenter-scale smoke: the bench's 1024-switch 3-tier Clos, shortened.
 // Parallel execution with multi-switch shard groups must deliver the exact
-// packet set the sequential loop does (the delivery-invariance half of the
-// determinism contract; the byte-exact telemetry half runs on a small Clos
-// in tests/test_parallel_fabric.cpp where it is cheap).
+// packet set the sequential loop does and record byte-identical metrics.
+// At 8 threads the engine runs 16 shard groups, so the barrier merges 16
+// telemetry lanes per round (tests/test_parallel_fabric.cpp holds the rest
+// of the determinism contract, on a small Clos where it is cheap).
 // ---------------------------------------------------------------------------
 
 struct ClosRun {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t host_rx = 0;
+  std::string metrics;  ///< metrics().snapshot_json(), over 1 MB here
 };
 
 ClosRun run_big_clos(int threads) {
@@ -166,6 +168,7 @@ ClosRun run_big_clos(int threads) {
   r.sent = flows.samples_sent();
   r.delivered = flows.samples_delivered();
   r.host_rx = fabric.stats().host_rx_pkts.load();
+  r.metrics = loop.telemetry().metrics().snapshot_json();
   return r;
 }
 
@@ -180,6 +183,11 @@ TEST(StressFabric, ThousandSwitchClosDeliveryInvariance) {
   EXPECT_EQ(par.sent, seq.sent);
   EXPECT_EQ(par.delivered, seq.delivered);
   EXPECT_EQ(par.host_rx, seq.host_rx);
+  // Compared whole, not with EXPECT_EQ: a mismatch would print both.
+  EXPECT_GT(seq.metrics.size(), 1'000'000u);
+  EXPECT_TRUE(par.metrics == seq.metrics)
+      << "metrics snapshots differ (" << seq.metrics.size() << " vs "
+      << par.metrics.size() << " bytes)";
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "helpers.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/shard_lane.hpp"
 #include "telemetry/trace.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -180,6 +181,59 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   EXPECT_NE(report.find("\"bench\": \"unit_test\""), std::string::npos);
   EXPECT_NE(report.find("\"trials\": 16"), std::string::npos);
   EXPECT_NE(report.find("a \\\"quoted\\\" name"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// ShardLane barrier merge
+// ---------------------------------------------------------------------------
+
+TEST(ShardLane, MergeOfInterleavedLanesAppliesInSortedOrder) {
+  // Events in canonical (t, src, seq) order — same-t ties across srcs,
+  // control (-1) included — are dealt at random to three lanes, each event
+  // emitting 1-3 ops; a fourth lane stays empty. Every lane is then in
+  // canonical order, as a shard group's lane is, and the lanes interleave.
+  struct Key {
+    Time t;
+    int src;
+    std::uint64_t seq;
+    std::uint32_t emit;
+    auto operator<=>(const Key&) const = default;
+  };
+  Rng rng(7);
+  std::vector<telemetry::ShardLane> lanes(4);
+  std::vector<std::uint64_t> seq_by_src(4, 0);
+  std::vector<Key> applied;
+  std::size_t deferred = 0;
+  for (Time t = 0; t < 400; t += 1 + static_cast<Time>(rng.uniform(3))) {
+    for (int src = -1; src < 3; ++src) {
+      if (rng.chance(0.3)) continue;
+      const std::uint64_t seq =
+          seq_by_src[static_cast<std::size_t>(src + 1)]++;
+      auto& lane = lanes[rng.uniform(3)];
+      lane.begin_event(t, src, seq);
+      const auto ops = static_cast<std::uint32_t>(1 + rng.uniform(3));
+      for (std::uint32_t e = 0; e < ops; ++e) {
+        lane.defer(
+            [&applied, k = Key{t, src, seq, e}] { applied.push_back(k); });
+        ++deferred;
+      }
+    }
+  }
+  std::vector<telemetry::ShardLane*> ptrs;
+  for (auto& lane : lanes) ptrs.push_back(&lane);
+  ASSERT_GT(lanes[0].ops().size(), 0u);
+  ASSERT_GT(lanes[1].ops().size(), 0u);
+
+  telemetry::ShardLane::merge_apply(ptrs);
+  ASSERT_EQ(applied.size(), deferred);
+  std::vector<Key> sorted = applied;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(applied, sorted);
+  for (const auto& lane : lanes) EXPECT_TRUE(lane.empty());
+
+  // Lanes that are all empty apply nothing.
+  telemetry::ShardLane::merge_apply(ptrs);
+  EXPECT_EQ(applied.size(), deferred);
 }
 
 // ---------------------------------------------------------------------------
