@@ -107,12 +107,14 @@ ParallelFabricEngine::ParallelFabricEngine(Fabric& fabric, int threads,
   loop_->ensure_tags(num_shards);
   seq_base_ = loop_->seq_array();  // stable: tags can never grow the table
   groups_.reserve(static_cast<std::size_t>(groups));
+  std::vector<telemetry::ShardLane*> lanes;
   for (int g = 0; g < groups; ++g) {
     auto group = std::make_unique<Group>();
     group->id = g;
-    lanes_.push_back(&group->lane);
+    lanes.push_back(&group->lane);
     groups_.push_back(std::move(group));
   }
+  replay_ = std::make_unique<telemetry::LaneReplay>(std::move(lanes));
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -140,25 +142,46 @@ int ParallelFabricEngine::group_of(int tag) const {
   return group_of_[static_cast<std::size_t>(tag)];
 }
 
-std::uint64_t ParallelFabricEngine::wait_for_round(std::uint64_t seen) {
+void ParallelFabricEngine::publish_phase(bool replay) {
+  replay_phase_ = replay;
+  done_.store(0, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++phase_guard_;
+    phase_seq_.store(phase_guard_, std::memory_order_release);
+  }
+  cv_.notify_all();
+}
+
+std::uint64_t ParallelFabricEngine::wait_for_phase(std::uint64_t seen) {
   for (int spin = 0; spin < kSpinIterations; ++spin) {
-    const std::uint64_t cur = round_seq_.load(std::memory_order_acquire);
+    const std::uint64_t cur = phase_seq_.load(std::memory_order_acquire);
     if (cur != seen) return cur;
     if (stop_flag_.load(std::memory_order_acquire)) return seen;
     std::this_thread::yield();
   }
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return round_guard_ != seen || stop_; });
-  return round_guard_ != seen ? round_guard_ : seen;
+  cv_.wait(lock, [&] { return phase_guard_ != seen || stop_; });
+  return phase_guard_ != seen ? phase_guard_ : seen;
+}
+
+void ParallelFabricEngine::wait_for_helpers() {
+  while (done_.load(std::memory_order_acquire) < threads_ - 1) {
+    std::this_thread::yield();
+  }
 }
 
 void ParallelFabricEngine::worker_main(int worker) {
   std::uint64_t seen = 0;
   while (true) {
-    const std::uint64_t cur = wait_for_round(seen);
-    if (cur == seen) return;  // stop requested, no newer round
+    const std::uint64_t cur = wait_for_phase(seen);
+    if (cur == seen) return;  // stop requested, no newer phase
     seen = cur;
-    run_group_range(worker, round_end_);
+    if (replay_phase_) {
+      replay_->run();
+    } else {
+      run_group_range(worker, round_end_);
+    }
     done_.fetch_add(1, std::memory_order_acq_rel);
   }
 }
@@ -211,91 +234,112 @@ void ParallelFabricEngine::run_until(Time t) {
     loop.run_until(t);
     return;
   }
-  while (!loop.queue_empty() && loop.next_time() <= t) {
-    const Time start = loop.next_time();
-    const Time cap = std::min(t, start + lookahead_);
+  while (true) {
+    std::optional<Time> end;
+    {
+      MANTIS_PROF_SCOPE(prof_, kOther, "engine.serial");
+      end = serial_section(t);
+    }
+    if (end) {
+      run_round(*end);
+      continue;
+    }
+    if (loop.queue_empty() || loop.next_time() > t) break;
     // Control events run inline (they may mutate shard state — table
     // commits, fault transitions — which is safe exactly because no round
-    // is in flight). Events at t == cap <= start also run inline rather
-    // than opening a zero-width round.
-    if (cap <= start || loop.next_dst() == sim::EventLoop::kControlShard) {
-      loop.step();
-      continue;
-    }
-    extract_buf_.clear();
-    const Time end = loop.extract_until(cap, extract_buf_);
-    if (extract_buf_.empty()) {
-      loop.step();
-      continue;
-    }
-#if MANTIS_TELEMETRY_ENABLED
-    const bool profiling = prof_ != nullptr && prof_->enabled();
-    if (profiling) {
-      prof_->count_local_push(
-          static_cast<std::uint64_t>(extract_buf_.size()));
-    }
-#endif
-    for (auto& ev : extract_buf_) {
-      groups_[static_cast<std::size_t>(
-                  group_of_[static_cast<std::size_t>(ev.dst)])]
-          ->local.push(std::move(ev));
-    }
-    extract_buf_.clear();
-
-    // Publish the round: group heaps and round_end_ are written before the
-    // release store on round_seq_, acquired by each worker's spin/wait.
-    round_end_ = end;
-    done_.store(0, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++round_guard_;
-      round_seq_.store(round_guard_, std::memory_order_release);
-    }
-    cv_.notify_all();
-    // The calling thread takes worker slot 0.
-    run_group_range(0, end);
-#if MANTIS_TELEMETRY_ENABLED
-    const std::int64_t stall_t0 =
-        profiling ? telemetry::prof::Profiler::wall_now_ns() : 0;
-#endif
-    while (done_.load(std::memory_order_acquire) < threads_ - 1) {
-      std::this_thread::yield();
-    }
-    ++rounds_;
-#if MANTIS_TELEMETRY_ENABLED
-    if (profiling) {
-      const std::int64_t stall =
-          telemetry::prof::Profiler::wall_now_ns() - stall_t0;
-      // Round load shape: busiest group vs mean (imbalance), groups with no
-      // work at all (lookahead-limited idle windows).
-      std::uint64_t total = 0, max_events = 0;
-      std::size_t idle = 0;
-      for (auto& group : groups_) {
-        const std::uint64_t e = group->executed_round;
-        total += e;
-        if (e > max_events) max_events = e;
-        if (e == 0) ++idle;
-      }
-      prof_->note_round(max_events, total, idle,
-                        stall > 0 ? static_cast<std::uint64_t>(stall) : 0);
-      // Bounded counter-track samples for the Chrome export, every 256
-      // rounds so sampling never shows up in the profile itself.
-      if ((rounds_ & 0xFFu) == 0) prof_->sample(end);
-    }
-    for (auto& group : groups_) group->executed_round = 0;
-#else
-    for (auto& group : groups_) group->executed_round = 0;
-#endif
-
-    // Barrier: outbox reinsertion (keys pre-assigned, insertion order
-    // irrelevant) and canonical-order telemetry replay.
-    for (auto& group : groups_) {
-      for (auto& ev : group->outbox) loop.reinsert(std::move(ev));
-      group->outbox.clear();
-    }
-    telemetry::ShardLane::merge_apply(lanes_);
+    // is in flight). An event at t itself also runs inline rather than
+    // opening a zero-width round.
+    loop.step();
   }
   loop.run_until(t);
+}
+
+std::optional<Time> ParallelFabricEngine::serial_section(Time t) {
+  auto& loop = *loop_;
+  // Outbox reinsertion: keys are pre-assigned, so insertion order is
+  // irrelevant.
+  for (auto& group : groups_) {
+    for (auto& ev : group->outbox) loop.reinsert(std::move(ev));
+    group->outbox.clear();
+  }
+  // The next round: every event before min(t, start + lookahead), cut at
+  // the first control event. It holds at least the first event, which is
+  // not a control event and is earlier than that horizon.
+  std::optional<Time> end;
+  if (!loop.queue_empty() &&
+      loop.next_dst() != sim::EventLoop::kControlShard) {
+    const Time start = loop.next_time();
+    const Time cap = std::min(t, start + lookahead_);
+    if (start < cap) {
+      end = loop.extract_until(cap, extract_buf_);
+#if MANTIS_TELEMETRY_ENABLED
+      if (prof_ != nullptr && prof_->enabled()) {
+        prof_->count_local_push(
+            static_cast<std::uint64_t>(extract_buf_.size()));
+      }
+#endif
+      for (auto& ev : extract_buf_) {
+        groups_[static_cast<std::size_t>(
+                    group_of_[static_cast<std::size_t>(ev.dst)])]
+            ->local.push(std::move(ev));
+      }
+      extract_buf_.clear();
+    }
+  }
+  // Join the replay the helpers started when the last round ended; it
+  // touches only telemetry sinks, which nothing above records into.
+  if (replay_pending_) {
+    replay_->run();
+    wait_for_helpers();
+    replay_pending_ = false;
+  }
+  return end;
+}
+
+void ParallelFabricEngine::run_round(Time end) {
+  // Publish the round: group heaps and round_end_ are written before the
+  // release store on phase_seq_, acquired by each worker's spin/wait.
+  round_end_ = end;
+  publish_phase(false);
+  // The calling thread takes worker slot 0.
+  run_group_range(0, end);
+#if MANTIS_TELEMETRY_ENABLED
+  const bool profiling = prof_ != nullptr && prof_->enabled();
+  const std::int64_t stall_t0 =
+      profiling ? telemetry::prof::Profiler::wall_now_ns() : 0;
+#endif
+  wait_for_helpers();
+  ++rounds_;
+#if MANTIS_TELEMETRY_ENABLED
+  if (profiling) {
+    const std::int64_t stall =
+        telemetry::prof::Profiler::wall_now_ns() - stall_t0;
+    // Round load shape: busiest group vs mean (imbalance), groups with no
+    // work at all (lookahead-limited idle windows).
+    std::uint64_t total = 0, max_events = 0;
+    std::size_t idle = 0;
+    for (auto& group : groups_) {
+      const std::uint64_t e = group->executed_round;
+      total += e;
+      if (e > max_events) max_events = e;
+      if (e == 0) ++idle;
+    }
+    prof_->note_round(max_events, total, idle,
+                      stall > 0 ? static_cast<std::uint64_t>(stall) : 0);
+    // Bounded counter-track samples for the Chrome export, every 256
+    // rounds so sampling never shows up in the profile itself.
+    if ((rounds_ & 0xFFu) == 0) prof_->sample(end);
+  }
+#endif
+  for (auto& group : groups_) group->executed_round = 0;
+
+  // Every lane is complete: the helpers start replaying it now, and the
+  // main thread joins them at the end of the next serial section.
+  replay_->plan();
+  if (replay_->size() > 0) {
+    publish_phase(true);
+    replay_pending_ = true;
+  }
 }
 
 }  // namespace mantis::net

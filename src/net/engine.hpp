@@ -20,7 +20,14 @@
 //      lowering the round horizon to the first control event keeps every
 //      extracted event strictly earlier),
 //   3. order-dependent telemetry sinks deferring into per-shard lanes that
-//      merge in canonical order at each barrier (telemetry/shard_lane.hpp).
+//      replay in canonical order, per sink, at each barrier
+//      (telemetry/shard_lane.hpp).
+//
+// Barrier: once every group's round has ended, the helpers start replaying
+// the lanes (claiming sinks largest first) while the main thread reinserts
+// the outboxes into the global queue and extracts and deals the next round;
+// the main thread then joins the replay. The replay has finished before any
+// control event runs or the next round is published.
 //
 // Shard grouping: canonical tags stay one-per-switch forever (they are part
 // of the event keys), but execution shards are GROUPS of switches — a
@@ -41,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -113,14 +121,28 @@ class ParallelFabricEngine {
   };
 
   void worker_main(int worker);
-  /// Blocks until a round newer than `seen` is published (returns its
+  /// Publishes the next phase to the helpers (a round, or with `replay` the
+  /// lane replay after one) and resets done_.
+  void publish_phase(bool replay);
+  /// Blocks until a phase newer than `seen` is published (returns its
   /// number) or stop is requested (returns `seen`). Spins briefly, then
   /// parks on the condition variable.
-  std::uint64_t wait_for_round(std::uint64_t seen);
+  std::uint64_t wait_for_phase(std::uint64_t seen);
+  /// Blocks until every helper has finished the current phase.
+  void wait_for_helpers();
   /// Drains one group's local heap with its ShardFrame + ShardLane
   /// installed. Runs on whichever thread owns the group this round.
   void run_group(Group& group, Time round_end);
   void run_group_range(int worker, Time round_end);
+  /// Main thread, between rounds (the `engine.serial` profiler site): moves
+  /// the last round's outbox events into the global queue, extracts the
+  /// next round due by `t` and deals it to the groups, then joins the lane
+  /// replay. Returns the round's end, or nullopt when the next event must
+  /// run inline or none is due.
+  std::optional<Time> serial_section(Time t);
+  /// Publishes the round ending at `end`, runs the main thread's groups,
+  /// waits at the barrier, then starts the helpers on the lane replay.
+  void run_round(Time end);
 
   sim::EventLoop* loop_;
   Fabric* fabric_;
@@ -136,21 +158,25 @@ class ParallelFabricEngine {
   std::vector<std::int32_t> group_of_;
   /// Base of the loop's per-tag sequence counter array (ShardFrame).
   std::uint64_t* seq_base_ = nullptr;
-  std::vector<telemetry::ShardLane*> lanes_;
   std::vector<sim::EventLoop::Event> extract_buf_;
+  /// The groups' lanes; planned after each round, replayed by every thread.
+  std::unique_ptr<telemetry::LaneReplay> replay_;
+  bool replay_pending_ = false;  ///< main thread only
 
-  // Round handoff: main publishes round_end_ + filled shard heaps, bumps
-  // round_seq_ (mutex-guarded counter with an atomic mirror for the spin
-  // path), and workers ack through done_.
+  // Phase handoff: a round, then the lane replay it leaves behind (if
+  // any). Main publishes round_end_ + filled shard heaps, or the replay
+  // plan, sets replay_phase_, bumps phase_seq_ (mutex-guarded counter with
+  // an atomic mirror for the spin path), and workers ack through done_.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::uint64_t round_guard_ = 0;  ///< guarded by mu_
+  std::uint64_t phase_guard_ = 0;  ///< guarded by mu_
   bool stop_ = false;              ///< guarded by mu_
-  std::atomic<std::uint64_t> round_seq_{0};
+  std::atomic<std::uint64_t> phase_seq_{0};
   std::atomic<bool> stop_flag_{false};
   std::atomic<int> done_{0};
-  Time round_end_ = 0;  ///< published before round_seq_ (release) store
+  Time round_end_ = 0;  ///< published before phase_seq_ (release) store
+  bool replay_phase_ = false;  ///< likewise
 };
 
 }  // namespace mantis::net

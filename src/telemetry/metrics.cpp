@@ -65,14 +65,6 @@ Histogram::Histogram(HistogramOptions opts) : opts_(std::move(opts)) {
   for (const double q : opts_.quantiles) quantiles_.emplace_back(q);
 }
 
-void Histogram::record(double v) {
-  if (ShardLane* lane = ShardLane::current()) {
-    lane->defer([this, v] { record_direct(v); });
-    return;
-  }
-  record_direct(v);
-}
-
 void Histogram::record_direct(double v) {
   ++total_;
   stats_.add(v);

@@ -39,28 +39,27 @@ class Counter {
 };
 
 /// Last-write-wins instantaneous value (queue depth, utilization, ...).
-/// Order-dependent, so writes from shard contexts defer through the
-/// thread's ShardLane and merge in canonical event order at round barriers.
+/// Order-dependent, so sets from shard contexts defer through the thread's
+/// ShardLane, and the barrier applies the one with the highest canonical
+/// event key.
 class Gauge {
  public:
   void set(double v) {
     if (ShardLane* lane = ShardLane::current()) {
-      lane->defer([this, v] { value_ = v; });
+      lane->defer(slot_.get(), {this, &apply_set, true}, v);
       return;
     }
     value_ = v;
   }
-  void add(double d) {
-    if (ShardLane* lane = ShardLane::current()) {
-      lane->defer([this, d] { value_ += d; });
-      return;
-    }
-    value_ += d;
-  }
   double value() const { return value_; }
 
  private:
+  static void apply_set(void* gauge, double v) {
+    static_cast<Gauge*>(gauge)->value_ = v;
+  }
+
   double value_ = 0;
+  LaneSlot slot_;
 };
 
 struct HistogramOptions {
@@ -86,7 +85,13 @@ class Histogram {
   /// Records one sample. P² quantile markers make this insertion-order
   /// dependent, so calls from shard contexts defer through the ShardLane
   /// (replayed in canonical event order at round barriers).
-  void record(double v);
+  void record(double v) {
+    if (ShardLane* lane = ShardLane::current()) {
+      lane->defer(slot_.get(), {this, &apply_record, false}, v);
+      return;
+    }
+    record_direct(v);
+  }
 
   std::uint64_t count() const { return total_; }
   const OnlineStats& stats() const { return stats_; }
@@ -108,6 +113,9 @@ class Histogram {
 
  private:
   void record_direct(double v);
+  static void apply_record(void* histogram, double v) {
+    static_cast<Histogram*>(histogram)->record_direct(v);
+  }
 
   HistogramOptions opts_;
   std::vector<double> bounds_;
@@ -116,6 +124,7 @@ class Histogram {
   OnlineStats stats_;
   std::vector<P2Quantile> quantiles_;
   Samples raw_;
+  LaneSlot slot_;
 };
 
 /// Name -> metric. One registry per stack (owned by the sim::EventLoop's

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "helpers.hpp"
@@ -224,7 +225,9 @@ TEST(ShardLane, MergeOfInterleavedLanesAppliesInSortedOrder) {
   ASSERT_GT(lanes[0].ops().size(), 0u);
   ASSERT_GT(lanes[1].ops().size(), 0u);
 
-  telemetry::ShardLane::merge_apply(ptrs);
+  telemetry::LaneReplay replay(ptrs);
+  replay.plan();
+  replay.run();
   ASSERT_EQ(applied.size(), deferred);
   std::vector<Key> sorted = applied;
   std::sort(sorted.begin(), sorted.end());
@@ -232,8 +235,138 @@ TEST(ShardLane, MergeOfInterleavedLanesAppliesInSortedOrder) {
   for (const auto& lane : lanes) EXPECT_TRUE(lane.empty());
 
   // Lanes that are all empty apply nothing.
-  telemetry::ShardLane::merge_apply(ptrs);
+  replay.plan();
+  replay.run();
   EXPECT_EQ(applied.size(), deferred);
+}
+
+TEST(ShardLane, PerSinkReplayMatchesDirectRecording) {
+  // One event stream in canonical order — same-t ties across srcs, control
+  // (-1) included, 1-3 ops per event, some hitting one sink twice — goes to
+  // two histograms with different options, two gauges and a closure sink.
+  // A registry that records it directly is the reference. Dealt to three
+  // lanes plus an empty one, it must replay to the same snapshot and the
+  // same closure order whatever order the barrier's items run in.
+  struct Op {
+    int sink;  // 0, 1: histograms; 2, 3: gauges; 4: closure
+    double value;
+  };
+  struct Event {
+    Time t;
+    int src;
+    std::uint64_t seq;
+    std::size_t lane;
+    std::vector<Op> ops;
+  };
+  Rng rng(11);
+  std::vector<Event> events;
+  std::vector<std::uint64_t> seq_by_src(4, 0);
+  const std::size_t dealt[] = {0, 2, 3};  // lane 1 stays empty
+  Time t = 0;
+  for (; t < 600; t += 1 + static_cast<Time>(rng.uniform(3))) {
+    for (int src = -1; src < 3; ++src) {
+      if (rng.chance(0.3)) continue;
+      Event ev{t, src, seq_by_src[static_cast<std::size_t>(src + 1)]++,
+               dealt[rng.uniform(3)], {}};
+      const auto n = 1 + rng.uniform(3);
+      for (std::uint64_t e = 0; e < n; ++e) {
+        const int sink = e > 0 && rng.chance(0.3)
+                             ? ev.ops.back().sink
+                             : static_cast<int>(rng.uniform(5));
+        ev.ops.push_back({sink, static_cast<double>(rng.uniform(5000)) +
+                                    rng.uniform01()});
+      }
+      events.push_back(std::move(ev));
+    }
+  }
+  // Gauge trap: gauge 2's last write sits in lane 0, listed before lane 3,
+  // which holds an earlier write. A "last lane wins" replay keeps 111.
+  events.push_back({t, 1, seq_by_src[2]++, 3, {{2, 111.0}}});
+  events.push_back({t + 1, 0, seq_by_src[1]++, 0, {{2, 222.0}}});
+
+  HistogramOptions coarse;
+  coarse.first_bucket = 16;
+  coarse.growth = 1.5;
+  coarse.buckets = 30;
+  coarse.quantiles = {0.25, 0.75, 0.95};
+  struct Sinks {
+    MetricsRegistry reg;
+    Histogram* h[2];
+    telemetry::Gauge* g[2];
+    std::vector<std::pair<std::uint64_t, double>> closure;
+  };
+  const auto make_sinks = [&coarse](Sinks& s) {
+    s.h[0] = &s.reg.histogram("h.default");
+    s.h[1] = &s.reg.histogram("h.coarse", coarse);
+    s.g[0] = &s.reg.gauge("g.a");
+    s.g[1] = &s.reg.gauge("g.b");
+  };
+  const auto record = [](Sinks& s, const Event& ev, const Op& op) {
+    if (op.sink < 2) {
+      s.h[op.sink]->record(op.value);
+    } else if (op.sink < 4) {
+      s.g[op.sink - 2]->set(op.value);
+    } else if (telemetry::ShardLane* lane = telemetry::ShardLane::current()) {
+      lane->defer([&s, seq = ev.seq, v = op.value] {
+        s.closure.emplace_back(seq, v);
+      });
+    } else {
+      s.closure.emplace_back(ev.seq, op.value);
+    }
+  };
+
+  Sinks direct;
+  make_sinks(direct);
+  for (const auto& ev : events) {
+    for (const auto& op : ev.ops) record(direct, ev, op);
+  }
+  ASSERT_EQ(direct.g[0]->value(), 222.0);
+  Sinks untouched;
+  make_sinks(untouched);
+
+  enum class Order { kClaim, kReverse, kTwoThreads };
+  for (const Order order : {Order::kClaim, Order::kReverse, Order::kTwoThreads}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    Sinks laned;
+    make_sinks(laned);
+    std::vector<telemetry::ShardLane> lanes(4);
+    for (const auto& ev : events) {
+      telemetry::ShardLane& lane = lanes[ev.lane];
+      telemetry::ShardLane::set_current(&lane);
+      lane.begin_event(ev.t, ev.src, ev.seq);
+      for (const auto& op : ev.ops) record(laned, ev, op);
+      telemetry::ShardLane::set_current(nullptr);
+    }
+    // Everything was deferred: nothing reached the sinks yet.
+    ASSERT_TRUE(lanes[1].empty());
+    ASSERT_EQ(laned.reg.snapshot_json(), untouched.reg.snapshot_json());
+    ASSERT_TRUE(laned.closure.empty());
+
+    std::vector<telemetry::ShardLane*> ptrs;
+    for (auto& lane : lanes) ptrs.push_back(&lane);
+    telemetry::LaneReplay replay(ptrs);
+    replay.plan();
+    ASSERT_EQ(replay.size(), 5u);  // four typed sinks and the closure stream
+    switch (order) {
+      case Order::kClaim:
+        for (std::size_t i = 0; i < replay.size(); ++i) replay.replay(i);
+        break;
+      case Order::kReverse:
+        for (std::size_t i = replay.size(); i-- > 0;) replay.replay(i);
+        break;
+      case Order::kTwoThreads: {
+        std::thread a([&replay] { replay.run(); });
+        std::thread b([&replay] { replay.run(); });
+        a.join();
+        b.join();
+        break;
+      }
+    }
+    EXPECT_EQ(laned.reg.snapshot_json(), direct.reg.snapshot_json());
+    EXPECT_EQ(laned.closure, direct.closure);
+    EXPECT_EQ(laned.g[0]->value(), 222.0);
+    for (const auto& lane : lanes) EXPECT_TRUE(lane.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
