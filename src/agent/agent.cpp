@@ -472,7 +472,7 @@ void Agent::run_one_reaction(ReactionRt& rt) {
   const auto params = measure_.poll(*drv_, *rt.info, checkpoint);
   const Time after_poll = loop().now();
   iter_poll_ += after_poll - t0;
-  phase_measure_->record(static_cast<double>(after_poll - t0));
+  phase_measure_->record(static_cast<std::uint64_t>(after_poll - t0));
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.measure", "dialogue",
                      telemetry::Track::kAgent, t0, after_poll);
 
@@ -489,7 +489,7 @@ void Agent::run_one_reaction(ReactionRt& rt) {
   // Charge the reaction's CPU time; the data plane keeps running meanwhile.
   loop().run_until(loop().now() + cost);
   iter_compute_ += loop().now() - after_poll;
-  phase_react_->record(static_cast<double>(loop().now() - after_poll));
+  phase_react_->record(static_cast<std::uint64_t>(loop().now() - after_poll));
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.react", "dialogue",
                      telemetry::Track::kAgent, after_poll, loop().now());
 }
@@ -750,13 +750,13 @@ void Agent::dialogue_iteration() {
   last_breakdown_.measure_and_react = after_react - after_flip;
   last_breakdown_.update = loop().now() - after_react;
 
-  phase_mv_flip_->record(static_cast<double>(last_breakdown_.mv_flip));
-  phase_update_->record(static_cast<double>(last_breakdown_.update));
+  phase_mv_flip_->record(static_cast<std::uint64_t>(last_breakdown_.mv_flip));
+  phase_update_->record(static_cast<std::uint64_t>(last_breakdown_.update));
 
   iters_ctr_->add();
   const Duration busy = loop().now() - t0;
   busy_ctr_->add(static_cast<std::uint64_t>(busy));
-  iter_hist_->record(static_cast<double>(busy));
+  iter_hist_->record(static_cast<std::uint64_t>(busy));
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.iteration", "dialogue",
                      telemetry::Track::kAgent, t0, loop().now(), "iteration",
                      static_cast<std::int64_t>(iters_ctr_->value()));

@@ -52,7 +52,7 @@ void run_isolation_pass(Context& ctx) {
       ensures(reg != nullptr, "isolation_pass: missing register " + param.reg);
       // Copy out before the push_backs below: they may reallocate
       // prog.registers and invalidate `reg`.
-      const std::uint32_t reg_width = reg->width;
+      const p4::Width reg_width = reg->width;
       const std::uint32_t reg_count = reg->instance_count;
       const std::string dup_name = param.reg + "__dup_";
       const std::string ts_name = param.reg + "__ts_";

@@ -33,8 +33,9 @@ TableDelta& delta_of(BatchDeltas& deltas, const sim::TableState& table) {
   for (auto& d : deltas) {
     if (d.table == &table) return d;
   }
-  deltas.push_back(TableDelta{&table});
-  return deltas.back();
+  TableDelta& added = deltas.emplace_back();
+  added.table = &table;
+  return added;
 }
 
 /// A live handle the batch has not deleted, or the error to report.
@@ -273,8 +274,8 @@ void AsyncDriver::finalize(const Sinks& s, const std::shared_ptr<InFlight>& rec,
   rec->done = true;
   s.batches->add();
   s.ops->add(rec->ops.size());
-  s.batch_ops->record(static_cast<double>(rec->ops.size()));
-  s.batch_ns->record(static_cast<double>(now - rec->c.submitted));
+  s.batch_ops->record(static_cast<std::uint64_t>(rec->ops.size()));
+  s.batch_ns->record(static_cast<std::uint64_t>(now - rec->c.submitted));
   s.prov->on_driver_op_for(rec->c.reaction_id, rec->label,
                            "batch=" + std::to_string(rec->c.id) +
                                " ops=" + std::to_string(rec->ops.size()) +

@@ -63,9 +63,10 @@ Time Channel::submit_at(Time t, Duration cost, std::function<void()> apply,
   ++ops_;
 
   ops_ctr_->add();
-  occupancy_hist_->record(static_cast<double>(cost));
-  queue_wait_hist_->record(static_cast<double>(start_critical - local_done));
-  depth_hist_->record(static_cast<double>(depth_));
+  occupancy_hist_->record(static_cast<std::uint64_t>(cost));
+  queue_wait_hist_->record(
+      static_cast<std::uint64_t>(start_critical - local_done));
+  depth_hist_->record(static_cast<std::uint64_t>(depth_));
   ++depth_;
   depth_gauge_->set(static_cast<double>(depth_));
 #if MANTIS_TELEMETRY_ENABLED

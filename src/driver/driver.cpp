@@ -218,7 +218,7 @@ void Driver::async_modify_entry(const std::string& table, sim::EntryHandle h,
         OpResult res;
         apply_op(*sw_, op, res);
         const Duration latency = sw_->loop().now() - submitted;
-        legacy_latency_hist_->record(static_cast<double>(latency));
+        legacy_latency_hist_->record(static_cast<std::uint64_t>(latency));
         // Async completions can land inside another agent's run_until wait;
         // attributing them to that reaction would be wrong, so log with
         // reaction_id 0 instead of prov_->on_driver_op.

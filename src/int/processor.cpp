@@ -97,7 +97,7 @@ void IntProcessor::on_egress(sim::Packet& pkt, int port) {
   if (stamp_hop(pkt, hop)) {
     ++transit_stamps_;
     transit_ctr_->add();
-    hop_latency_hist_->record(static_cast<double>(hop.hop_latency_ns));
+    hop_latency_hist_->record(static_cast<std::uint64_t>(hop.hop_latency_ns));
   } else {
     truncated_ctr_->add();
   }
@@ -109,7 +109,7 @@ void IntProcessor::on_egress(sim::Packet& pkt, int port) {
   if (!header.has_value()) return;  // foreign stack; already stripped
   ++sink_reports_;
   sink_ctr_->add();
-  report_hops_hist_->record(static_cast<double>(header->hops.size()));
+  report_hops_hist_->record(static_cast<std::uint64_t>(header->hops.size()));
   if (collector_ == nullptr) return;
 
   IntReport rep;

@@ -52,15 +52,6 @@ std::vector<std::int32_t> ParallelFabricEngine::assign_groups(
   return group_of;
 }
 
-std::vector<std::uint64_t> ParallelFabricEngine::weights_from_profile(
-    const telemetry::prof::ProfileReport& report, int num_shards) {
-  if (static_cast<int>(report.shards.size()) != num_shards) return {};
-  std::vector<std::uint64_t> weights;
-  weights.reserve(report.shards.size());
-  for (const auto& cell : report.shards) weights.push_back(cell.events);
-  return weights;
-}
-
 ParallelFabricEngine::ParallelFabricEngine(Fabric& fabric, int threads)
     : ParallelFabricEngine(fabric, threads, Options()) {}
 
@@ -82,19 +73,13 @@ ParallelFabricEngine::ParallelFabricEngine(Fabric& fabric, int threads,
   threads_ = std::min(threads_, groups);
   if (threads_ <= 1) return;
 
-  std::vector<std::uint64_t> weights = std::move(options.weights);
-  if (weights.empty()) {
-    // Default weight: link degree (hosts included — host events run on the
-    // uplink switch's shard), a decent static proxy for event load.
-    weights.assign(static_cast<std::size_t>(num_shards), 0);
-    const auto& topo = fabric.topo();
-    for (const auto& l : topo.links) {
-      ++weights[static_cast<std::size_t>(fabric.shard_of(l.a))];
-      ++weights[static_cast<std::size_t>(fabric.shard_of(l.b))];
-    }
+  // Weight: link degree (hosts included — host events run on the uplink
+  // switch's shard), a decent static proxy for event load.
+  std::vector<std::uint64_t> weights(static_cast<std::size_t>(num_shards), 0);
+  for (const auto& l : fabric.topo().links) {
+    ++weights[static_cast<std::size_t>(fabric.shard_of(l.a))];
+    ++weights[static_cast<std::size_t>(fabric.shard_of(l.b))];
   }
-  expects(static_cast<int>(weights.size()) == num_shards,
-          "ParallelFabricEngine: weights size != num_shards");
   group_of_ = assign_groups(weights, groups);
 
   // Profiler shard cells must exist before workers start (the cell array
@@ -103,18 +88,18 @@ ParallelFabricEngine::ParallelFabricEngine(Fabric& fabric, int threads,
   // are per execution GROUP: that is the unit of round imbalance.
   prof_ = &loop_->telemetry().prof();
   prof_->ensure_shards(static_cast<std::size_t>(groups));
+  // Lanes take the registry's part width, at least `groups`: sinks that a
+  // narrower engine on this loop already split into parts grow now, between
+  // rounds, and the rest allocate that many parts on first use.
+  const int parts = loop_->telemetry().metrics().group_parts_width(groups);
 
   loop_->ensure_tags(num_shards);
   seq_base_ = loop_->seq_array();  // stable: tags can never grow the table
   groups_.reserve(static_cast<std::size_t>(groups));
-  std::vector<telemetry::ShardLane*> lanes;
   for (int g = 0; g < groups; ++g) {
-    auto group = std::make_unique<Group>();
-    group->id = g;
-    lanes.push_back(&group->lane);
-    groups_.push_back(std::move(group));
+    groups_.push_back(std::make_unique<Group>(g, parts));
+    lanes_.push_back(&groups_.back()->lane);
   }
-  replay_ = std::make_unique<telemetry::LaneReplay>(std::move(lanes));
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -142,27 +127,26 @@ int ParallelFabricEngine::group_of(int tag) const {
   return group_of_[static_cast<std::size_t>(tag)];
 }
 
-void ParallelFabricEngine::publish_phase(bool replay) {
-  replay_phase_ = replay;
+void ParallelFabricEngine::publish_round() {
   done_.store(0, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    ++phase_guard_;
-    phase_seq_.store(phase_guard_, std::memory_order_release);
+    ++round_guard_;
+    round_seq_.store(round_guard_, std::memory_order_release);
   }
   cv_.notify_all();
 }
 
-std::uint64_t ParallelFabricEngine::wait_for_phase(std::uint64_t seen) {
+std::uint64_t ParallelFabricEngine::wait_for_round(std::uint64_t seen) {
   for (int spin = 0; spin < kSpinIterations; ++spin) {
-    const std::uint64_t cur = phase_seq_.load(std::memory_order_acquire);
+    const std::uint64_t cur = round_seq_.load(std::memory_order_acquire);
     if (cur != seen) return cur;
     if (stop_flag_.load(std::memory_order_acquire)) return seen;
     std::this_thread::yield();
   }
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return phase_guard_ != seen || stop_; });
-  return phase_guard_ != seen ? phase_guard_ : seen;
+  cv_.wait(lock, [&] { return round_guard_ != seen || stop_; });
+  return round_guard_ != seen ? round_guard_ : seen;
 }
 
 void ParallelFabricEngine::wait_for_helpers() {
@@ -174,14 +158,10 @@ void ParallelFabricEngine::wait_for_helpers() {
 void ParallelFabricEngine::worker_main(int worker) {
   std::uint64_t seen = 0;
   while (true) {
-    const std::uint64_t cur = wait_for_phase(seen);
-    if (cur == seen) return;  // stop requested, no newer phase
+    const std::uint64_t cur = wait_for_round(seen);
+    if (cur == seen) return;  // stop requested, no newer round
     seen = cur;
-    if (replay_phase_) {
-      replay_->run();
-    } else {
-      run_group_range(worker, round_end_);
-    }
+    run_group_range(worker, round_end_);
     done_.fetch_add(1, std::memory_order_acq_rel);
   }
 }
@@ -210,7 +190,7 @@ void ParallelFabricEngine::run_group(Group& group, Time round_end) {
     // schedules must stamp src = its switch, not "the group", to keep
     // canonical keys identical to the sequential engine's.
     frame.shard = ev.dst;
-    // Deferred telemetry from this callback carries the event's own key.
+    // Telemetry from this callback carries the event's own key.
     group.lane.begin_event(ev.t, ev.src, ev.seq);
     ++group.executed_round;
 #if MANTIS_TELEMETRY_ENABLED
@@ -256,6 +236,8 @@ void ParallelFabricEngine::run_until(Time t) {
 
 std::optional<Time> ParallelFabricEngine::serial_section(Time t) {
   auto& loop = *loop_;
+  // The last round's closures, before any control event records directly.
+  telemetry::ShardLane::merge_apply(lanes_);
   // Outbox reinsertion: keys are pre-assigned, so insertion order is
   // irrelevant.
   for (auto& group : groups_) {
@@ -286,21 +268,14 @@ std::optional<Time> ParallelFabricEngine::serial_section(Time t) {
       extract_buf_.clear();
     }
   }
-  // Join the replay the helpers started when the last round ended; it
-  // touches only telemetry sinks, which nothing above records into.
-  if (replay_pending_) {
-    replay_->run();
-    wait_for_helpers();
-    replay_pending_ = false;
-  }
   return end;
 }
 
 void ParallelFabricEngine::run_round(Time end) {
   // Publish the round: group heaps and round_end_ are written before the
-  // release store on phase_seq_, acquired by each worker's spin/wait.
+  // release store on round_seq_, acquired by each worker's spin/wait.
   round_end_ = end;
-  publish_phase(false);
+  publish_round();
   // The calling thread takes worker slot 0.
   run_group_range(0, end);
 #if MANTIS_TELEMETRY_ENABLED
@@ -332,14 +307,6 @@ void ParallelFabricEngine::run_round(Time end) {
   }
 #endif
   for (auto& group : groups_) group->executed_round = 0;
-
-  // Every lane is complete: the helpers start replaying it now, and the
-  // main thread joins them at the end of the next serial section.
-  replay_->plan();
-  if (replay_->size() > 0) {
-    publish_phase(true);
-    replay_pending_ = true;
-  }
 }
 
 }  // namespace mantis::net

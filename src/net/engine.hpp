@@ -19,25 +19,24 @@
 //      executing inline at barriers (they sort first among same-t ties, so
 //      lowering the round horizon to the first control event keeps every
 //      extracted event strictly earlier),
-//   3. order-dependent telemetry sinks deferring into per-shard lanes that
-//      replay in canonical order, per sink, at each barrier
+//   3. order-free metric sinks (counters, histograms, gauges) recording in
+//      place into per-group parts that reads merge, and the order-dependent
+//      trace ring, flight recorder and INT collector deferring closures into
+//      per-group lanes that the barrier applies in canonical order
 //      (telemetry/shard_lane.hpp).
 //
-// Barrier: once every group's round has ended, the helpers start replaying
-// the lanes (claiming sinks largest first) while the main thread reinserts
-// the outboxes into the global queue and extracts and deals the next round;
-// the main thread then joins the replay. The replay has finished before any
-// control event runs or the next round is published.
+// Barrier: once every group's round has ended, the main thread applies the
+// lanes' closures merged in canonical order, reinserts the outboxes into
+// the global queue, and extracts and deals the next round.
 //
 // Shard grouping: canonical tags stay one-per-switch forever (they are part
 // of the event keys), but execution shards are GROUPS of switches — a
 // datacenter-scale fabric has far more switches than cores, and one heap +
 // lane + barrier slot per switch would drown the rounds in bookkeeping.
-// The tag -> group map is load-aware (LPT greedy over per-switch weights:
-// link degree by default, or measured per-shard event counts from a prior
-// profiled run — the PR 9 imbalance telemetry) and purely an execution
-// placement: regrouping cannot move an event's canonical key, so any group
-// count is byte-identical to any other, threads=1 included.
+// The tag -> group map is an LPT greedy over per-switch link degree (a
+// static proxy for event load), and purely an execution placement:
+// regrouping cannot move an event's canonical key, so any group count is
+// byte-identical to any other, threads=1 included.
 //
 // threads <= 1 is the sequential engine, verbatim: run_until delegates to
 // EventLoop::run_until and no worker, lane, or frame machinery exists.
@@ -63,10 +62,6 @@ class ParallelFabricEngine {
     /// Execution shard groups; 0 = auto (2x threads, capped at the switch
     /// count — enough slack for round-robin workers to average out load).
     int groups = 0;
-    /// Per-switch load weights for the LPT assignment (size must equal
-    /// fabric.num_shards()); empty = link degree. Feed measured per-shard
-    /// event counts from a calibration run via weights_from_profile.
-    std::vector<std::uint64_t> weights;
   };
 
   /// `fabric` must outlive the engine. `threads` is the total worker count
@@ -102,15 +97,11 @@ class ParallelFabricEngine {
   static std::vector<std::int32_t> assign_groups(
       const std::vector<std::uint64_t>& weights, int groups);
 
-  /// Per-switch weights out of a profiled run's per-shard event counts —
-  /// usable when the profile was taken with groups == num_shards (e.g. a
-  /// short calibration run); empty vector when the cell count differs.
-  static std::vector<std::uint64_t> weights_from_profile(
-      const telemetry::prof::ProfileReport& report, int num_shards);
-
  private:
   struct Group {
-    int id = 0;
+    Group(int id, int groups) : id(id), lane(id, groups) {}
+
+    int id;
     sim::EventLoop::LocalQueue local;
     std::vector<sim::EventLoop::Event> outbox;
     telemetry::ShardLane lane;
@@ -121,27 +112,26 @@ class ParallelFabricEngine {
   };
 
   void worker_main(int worker);
-  /// Publishes the next phase to the helpers (a round, or with `replay` the
-  /// lane replay after one) and resets done_.
-  void publish_phase(bool replay);
-  /// Blocks until a phase newer than `seen` is published (returns its
+  /// Publishes the next round to the helpers and resets done_.
+  void publish_round();
+  /// Blocks until a round newer than `seen` is published (returns its
   /// number) or stop is requested (returns `seen`). Spins briefly, then
   /// parks on the condition variable.
-  std::uint64_t wait_for_phase(std::uint64_t seen);
-  /// Blocks until every helper has finished the current phase.
+  std::uint64_t wait_for_round(std::uint64_t seen);
+  /// Blocks until every helper has finished the current round.
   void wait_for_helpers();
   /// Drains one group's local heap with its ShardFrame + ShardLane
   /// installed. Runs on whichever thread owns the group this round.
   void run_group(Group& group, Time round_end);
   void run_group_range(int worker, Time round_end);
-  /// Main thread, between rounds (the `engine.serial` profiler site): moves
-  /// the last round's outbox events into the global queue, extracts the
-  /// next round due by `t` and deals it to the groups, then joins the lane
-  /// replay. Returns the round's end, or nullopt when the next event must
-  /// run inline or none is due.
+  /// Main thread, between rounds (the `engine.serial` profiler site):
+  /// applies the last round's lane closures, moves its outbox events into
+  /// the global queue, and extracts the next round due by `t` and deals it
+  /// to the groups. Returns the round's end, or nullopt when the next event
+  /// must run inline or none is due.
   std::optional<Time> serial_section(Time t);
-  /// Publishes the round ending at `end`, runs the main thread's groups,
-  /// waits at the barrier, then starts the helpers on the lane replay.
+  /// Publishes the round ending at `end`, runs the main thread's groups and
+  /// waits at the barrier.
   void run_round(Time end);
 
   sim::EventLoop* loop_;
@@ -159,24 +149,21 @@ class ParallelFabricEngine {
   /// Base of the loop's per-tag sequence counter array (ShardFrame).
   std::uint64_t* seq_base_ = nullptr;
   std::vector<sim::EventLoop::Event> extract_buf_;
-  /// The groups' lanes; planned after each round, replayed by every thread.
-  std::unique_ptr<telemetry::LaneReplay> replay_;
-  bool replay_pending_ = false;  ///< main thread only
+  /// The groups' lanes, whose closures the barrier applies.
+  std::vector<telemetry::ShardLane*> lanes_;
 
-  // Phase handoff: a round, then the lane replay it leaves behind (if
-  // any). Main publishes round_end_ + filled shard heaps, or the replay
-  // plan, sets replay_phase_, bumps phase_seq_ (mutex-guarded counter with
-  // an atomic mirror for the spin path), and workers ack through done_.
+  // Round handoff: main publishes round_end_ + filled shard heaps, bumps
+  // round_seq_ (mutex-guarded counter with an atomic mirror for the spin
+  // path), and workers ack through done_.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::uint64_t phase_guard_ = 0;  ///< guarded by mu_
+  std::uint64_t round_guard_ = 0;  ///< guarded by mu_
   bool stop_ = false;              ///< guarded by mu_
-  std::atomic<std::uint64_t> phase_seq_{0};
+  std::atomic<std::uint64_t> round_seq_{0};
   std::atomic<bool> stop_flag_{false};
   std::atomic<int> done_{0};
-  Time round_end_ = 0;  ///< published before phase_seq_ (release) store
-  bool replay_phase_ = false;  ///< likewise
+  Time round_end_ = 0;  ///< published before round_seq_ (release) store
 };
 
 }  // namespace mantis::net

@@ -30,7 +30,8 @@ void Host::receive(sim::Packet pkt) {
   fabric_->stats_.host_rx_pkts.fetch_add(1, std::memory_order_relaxed);
   fabric_->host_rx_ctr_->add();
   if (pkt.origin_time() >= 0) {
-    fabric_->transit_hist_->record(static_cast<double>(now - pkt.origin_time()));
+    fabric_->transit_hist_->record(
+        static_cast<std::uint64_t>(now - pkt.origin_time()));
   }
   if (on_receive_) on_receive_(pkt, now);
 }

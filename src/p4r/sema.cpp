@@ -423,7 +423,9 @@ class Analyzer {
         if (out_.prog.find_table(apply->table) == nullptr) {
           fail(apply->loc, "apply of unknown table '" + apply->table + "'");
         }
-        out.push_back(p4::ControlNode{p4::ApplyNode{apply->table}});
+        // Built in place: moving a ControlNode temporary makes GCC 12 warn
+        // (-Wmaybe-uninitialized) about the IfNode alternative it never holds.
+        out.emplace_back().node = p4::ApplyNode{apply->table};
       } else {
         const auto& ifn = std::get<AstIf>(node.node);
         p4::IfNode lowered;

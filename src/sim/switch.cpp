@@ -135,7 +135,7 @@ void Switch::inject_internal(Packet pkt, int port, bool recirculated) {
       "pkt.ingress_pipeline", "sim", telemetry::Track::kSwitch, loop_->now(),
       loop_->now() + cfg_.ingress_latency, "port", port);
 #endif
-  ingress_stage_hist_->record(static_cast<double>(cfg_.ingress_latency));
+  ingress_stage_hist_->record(static_cast<std::uint64_t>(cfg_.ingress_latency));
   ingress_.process(pkt);
   if (prov_->consume_flagged_hit()) {
     prov_->on_first_effect(loop_->now(), cfg_.ingress_latency);
@@ -177,9 +177,10 @@ void Switch::on_dequeue(Packet pkt, int port) {
   pkt.set(f_egr_ts_, static_cast<std::uint64_t>(loop_->now() / 1000), w48);
 
   if (pkt.enqueue_time() >= 0) {
-    tm_stage_hist_->record(static_cast<double>(loop_->now() - pkt.enqueue_time()));
+    tm_stage_hist_->record(
+        static_cast<std::uint64_t>(loop_->now() - pkt.enqueue_time()));
   }
-  egress_stage_hist_->record(static_cast<double>(cfg_.egress_latency));
+  egress_stage_hist_->record(static_cast<std::uint64_t>(cfg_.egress_latency));
 #if MANTIS_TELEMETRY_ENABLED
   loop_->telemetry().tracer().complete(
       "pkt.egress_pipeline", "sim", telemetry::Track::kSwitch, loop_->now(),
@@ -198,7 +199,7 @@ void Switch::on_dequeue(Packet pkt, int port) {
   stats.tx_bytes += pkt.length_bytes();
   tx_ctr_->add();
   if (pkt.arrival_time() >= 0) {
-    transit_hist_->record(static_cast<double>(
+    transit_hist_->record(static_cast<std::uint64_t>(
         loop_->now() + cfg_.egress_latency - pkt.arrival_time()));
   }
   if (on_transmit_) {

@@ -36,7 +36,7 @@ telemetry::Gauge& TrafficManager::port_depth_gauge(int port, PortQueue& q) {
 }
 
 void TrafficManager::record_depth(int port, PortQueue& q) {
-  depth_hist_->record(static_cast<double>(depth(q)));
+  depth_hist_->record(static_cast<std::uint64_t>(depth(q)));
   port_depth_gauge(port, q).set(static_cast<double>(depth(q)));
 }
 

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +48,91 @@ std::string quantile_key(double q) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Gauge
+// ---------------------------------------------------------------------------
+
+double Gauge::value() const {
+  const Part* last = nullptr;
+  groups_.for_each([&last](const Part& p) {
+    if (p.set && (last == nullptr || last->key < p.key)) last = &p;
+  });
+  return last != nullptr ? last->value : value_;
+}
+
+// ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 
-Histogram::Histogram(HistogramOptions opts) : opts_(std::move(opts)) {
+namespace {
+
+/// The log-linear grid: cell v for v < 128, then 64 cells per power of two,
+/// so a cell is at most 1/64 of its lower edge wide.
+constexpr std::uint64_t kExactBelow = 128;
+constexpr int kSubBits = 6;
+constexpr std::uint64_t kSubCells = 1u << kSubBits;
+
+std::uint32_t grid_cell(std::uint64_t v) {
+  if (v < kExactBelow) return static_cast<std::uint32_t>(v);
+  const int k = std::bit_width(v) - 1;  // >= 7
+  const std::uint64_t sub = (v >> (k - kSubBits)) - kSubCells;
+  return static_cast<std::uint32_t>(
+      kExactBelow + static_cast<std::uint64_t>(k - 7) * kSubCells + sub);
+}
+
+/// A cell's reading: its integer midpoint, within 1/128 of every sample in
+/// the cell.
+std::uint64_t cell_value(std::uint64_t cell) {
+  if (cell < kExactBelow) return cell;
+  const std::uint64_t k = 7 + (cell - kExactBelow) / kSubCells;
+  const std::uint64_t width = std::uint64_t{1} << (k - kSubBits);
+  return (kSubCells + (cell - kExactBelow) % kSubCells) * width + width / 2;
+}
+
+}  // namespace
+
+void HistogramStats::merge(const HistogramStats& other) {
+  n += other.n;
+  sum += other.sum;
+  lo = std::min(lo, other.lo);
+  hi = std::max(hi, other.hi);
+}
+
+double HistogramStats::mean() const {
+  expects(n > 0, "HistogramStats::mean: no samples");
+  return static_cast<double>(sum) / static_cast<double>(n);
+}
+
+double HistogramStats::min() const {
+  expects(n > 0, "HistogramStats::min: no samples");
+  return static_cast<double>(lo);
+}
+
+double HistogramStats::max() const {
+  expects(n > 0, "HistogramStats::max: no samples");
+  return static_cast<double>(hi);
+}
+
+void Histogram::Part::add(std::uint64_t v, const std::vector<double>& bounds) {
+  stats.add(v);
+  const std::uint32_t cell = grid_cell(v);
+  if (cells.empty()) {
+    base = cell;
+    cells.assign(1, 0);
+    buckets.assign(bounds.size() + 1, 0);
+  } else if (cell < base) {
+    cells.insert(cells.begin(), base - cell, 0);
+    base = cell;
+  } else if (cell - base >= cells.size()) {
+    cells.resize(cell - base + 1, 0);
+  }
+  ++cells[cell - base];
+  // Geometric bounds: the first bound >= v is found directly.
+  const auto it =
+      std::lower_bound(bounds.begin(), bounds.end(), static_cast<double>(v));
+  ++buckets[static_cast<std::size_t>(it - bounds.begin())];
+}
+
+Histogram::Histogram(HistogramOptions opts) : opts_(opts) {
   expects(opts_.first_bucket > 0, "Histogram: first bucket must be positive");
   expects(opts_.growth > 1.0, "Histogram: growth must exceed 1");
   expects(opts_.buckets > 0, "Histogram: need at least one bucket");
@@ -60,29 +142,49 @@ Histogram::Histogram(HistogramOptions opts) : opts_(std::move(opts)) {
     bounds_.push_back(b);
     b *= opts_.growth;
   }
-  counts_.assign(bounds_.size() + 1, 0);
-  quantiles_.reserve(opts_.quantiles.size());
-  for (const double q : opts_.quantiles) quantiles_.emplace_back(q);
 }
 
-void Histogram::record_direct(double v) {
-  ++total_;
-  stats_.add(v);
-  for (auto& est : quantiles_) est.add(v);
-  if (opts_.keep_raw) raw_.add(v);
-  // Geometric bounds: the first bucket >= v is found directly.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+HistogramStats Histogram::stats() const {
+  HistogramStats all;
+  for_each_part([&all](const Part& p) { all.merge(p.stats); });
+  return all;
+}
+
+std::uint64_t Histogram::bucket_count(std::size_t i) const {
+  std::uint64_t n = 0;
+  for_each_part([&n, i](const Part& p) {
+    if (!p.buckets.empty()) n += p.buckets[i];
+  });
+  return n;
 }
 
 double Histogram::quantile(double q) const {
-  expects(total_ > 0, "Histogram::quantile: no samples");
+  expects(q >= 0.0 && q <= 1.0, "Histogram::quantile: q out of [0, 1]");
+  const HistogramStats st = stats();
+  expects(st.n > 0, "Histogram::quantile: no samples");
   if (opts_.keep_raw) return raw_.percentile(q * 100.0);
-  for (const auto& est : quantiles_) {
-    if (est.q() == q) return est.value();
-  }
-  throw UserError("Histogram::quantile: q=" + std::to_string(q) +
-                  " not tracked (configure it in HistogramOptions)");
+  // Nearest rank: the ceil(q * n)-th smallest sample, the first for q = 0.
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(st.n))));
+  if (rank == 1) return st.min();
+  if (rank == st.n) return st.max();
+  std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t end = 0;
+  for_each_part([&](const Part& p) {
+    if (p.cells.empty()) return;
+    first = std::min<std::uint64_t>(first, p.base);
+    end = std::max<std::uint64_t>(end, p.base + p.cells.size());
+  });
+  std::vector<std::uint64_t> cells(end - first, 0);
+  for_each_part([&](const Part& p) {
+    for (std::size_t j = 0; j < p.cells.size(); ++j) {
+      cells[p.base - first + j] += p.cells[j];
+    }
+  });
+  std::uint64_t seen = 0;
+  std::size_t j = 0;
+  while ((seen += cells[j]) < rank) ++j;
+  return static_cast<double>(std::clamp(cell_value(first + j), st.lo, st.hi));
 }
 
 const Samples& Histogram::raw() const {
@@ -123,7 +225,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   if (!e.histogram) {
     expects(!e.counter && !e.gauge,
             "MetricsRegistry: " + name + " already registered as another kind");
-    e.histogram = std::make_unique<Histogram>(std::move(opts));
+    e.histogram = std::make_unique<Histogram>(opts);
   }
   return *e.histogram;
 }
@@ -146,6 +248,21 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name) const 
   return it == metrics_.end() ? nullptr : it->second.histogram.get();
 }
 
+int MetricsRegistry::group_parts_width(int groups) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (groups <= group_parts_width_) return group_parts_width_;
+  // Parts exist only if lanes of an earlier width recorded into this
+  // registry; the first engine skips the walk over every metric.
+  if (group_parts_width_ > 0) {
+    for (auto& [name, e] : metrics_) {
+      if (e.gauge) e.gauge->groups_.grow(groups);
+      if (e.histogram) e.histogram->groups_.grow(groups);
+    }
+  }
+  group_parts_width_ = groups;
+  return groups;
+}
+
 std::string MetricsRegistry::snapshot_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
@@ -162,12 +279,13 @@ std::string MetricsRegistry::snapshot_json() const {
           << "}";
     } else {
       const Histogram& h = *e.histogram;
-      out << "{\"type\": \"histogram\", \"count\": " << h.count();
-      if (h.count() > 0) {
-        out << ", \"mean\": " << fmt_double(h.stats().mean())
-            << ", \"min\": " << fmt_double(h.stats().min())
-            << ", \"max\": " << fmt_double(h.stats().max());
-        for (const double q : h.tracked_quantiles()) {
+      const HistogramStats st = h.stats();
+      out << "{\"type\": \"histogram\", \"count\": " << st.n;
+      if (st.n > 0) {
+        out << ", \"mean\": " << fmt_double(st.mean())
+            << ", \"min\": " << fmt_double(st.min())
+            << ", \"max\": " << fmt_double(st.max());
+        for (const double q : Histogram::kExportQuantiles) {
           out << ", \"" << quantile_key(q)
               << "\": " << fmt_double(h.quantile(q));
         }

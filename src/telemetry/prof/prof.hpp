@@ -301,7 +301,17 @@ class ProfScope {
         frame_.parent != nullptr ? frame_.parent->path : 0u, site);
     frame_.t0 = Profiler::wall_now_ns();
     frame_.a0 = alloc_count();
+    // The destructor pops the frame before it goes out of scope. GCC 12
+    // cannot follow prof_ across the scope's calls and warns that the
+    // thread-local may outlive it (-Wdangling-pointer); a false positive.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdangling-pointer"
+#endif
     detail::tls_frame_top = &frame_;
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
   }
   ~ProfScope() {
     if (prof_ == nullptr) return;

@@ -52,9 +52,9 @@ void ProvenanceContext::end_reaction(std::uint64_t rid, Time now, Duration poll,
   frames_.pop_back();
 
   reactions_->add();
-  poll_hist_->record(static_cast<double>(poll));
-  compute_hist_->record(static_cast<double>(compute));
-  push_hist_->record(static_cast<double>(push));
+  poll_hist_->record(static_cast<std::uint64_t>(poll));
+  compute_hist_->record(static_cast<std::uint64_t>(compute));
+  push_hist_->record(static_cast<std::uint64_t>(push));
 
   if (recorder_.enabled()) {
     recorder_.record(now, FlightEvent::Kind::kReaction, rid, "iteration",
@@ -127,7 +127,7 @@ void ProvenanceContext::on_first_effect(Time arrival, Duration pass_latency) {
   if (rid == 0) return;
   const Duration take_effect = arrival - committed_at_;
   first_effects_->add();
-  take_effect_hist_->record(static_cast<double>(take_effect));
+  take_effect_hist_->record(static_cast<std::uint64_t>(take_effect));
   MANTIS_SPAN_RECORD(tracer_, "pkt.first_effect", "provenance", Track::kSwitch,
                      arrival, arrival + pass_latency, "reaction_id",
                      static_cast<std::int64_t>(rid));

@@ -7,41 +7,6 @@
 
 namespace mantis {
 
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::mean() const {
-  expects(n_ > 0, "OnlineStats::mean: no samples");
-  return mean_;
-}
-
-double OnlineStats::variance() const {
-  expects(n_ > 1, "OnlineStats::variance: need >= 2 samples");
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-double OnlineStats::min() const {
-  expects(n_ > 0, "OnlineStats::min: no samples");
-  return min_;
-}
-
-double OnlineStats::max() const {
-  expects(n_ > 0, "OnlineStats::max: no samples");
-  return max_;
-}
-
 void Samples::ensure_sorted() const {
   if (!sorted_) {
     std::sort(values_.begin(), values_.end());
@@ -66,88 +31,6 @@ double Samples::percentile(double q) const {
   const auto hi = std::min(lo + 1, values_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values_[lo] * (1.0 - frac) + values_[hi] * frac;
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  expects(q > 0.0 && q < 1.0, "P2Quantile: q out of (0,1)");
-  desired_[0] = 1;
-  desired_[1] = 1 + 2 * q;
-  desired_[2] = 1 + 4 * q;
-  desired_[3] = 3 + 2 * q;
-  desired_[4] = 5;
-  increment_[0] = 0;
-  increment_[1] = q / 2;
-  increment_[2] = q;
-  increment_[3] = (1 + q) / 2;
-  increment_[4] = 1;
-}
-
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    heights_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) pos_[i] = i + 1;
-    }
-    return;
-  }
-
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  ++n_;
-  for (int i = k + 1; i < 5; ++i) pos_[i] += 1;
-  for (int i = 0; i < 5; ++i) desired_[i] += increment_[i];
-
-  // Adjust the three interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - pos_[i];
-    if ((d >= 1 && pos_[i + 1] - pos_[i] > 1) ||
-        (d <= -1 && pos_[i - 1] - pos_[i] < -1)) {
-      const double sgn = d >= 0 ? 1.0 : -1.0;
-      // Piecewise-parabolic prediction of the new height.
-      const double hp =
-          heights_[i] +
-          sgn / (pos_[i + 1] - pos_[i - 1]) *
-              ((pos_[i] - pos_[i - 1] + sgn) * (heights_[i + 1] - heights_[i]) /
-                   (pos_[i + 1] - pos_[i]) +
-               (pos_[i + 1] - pos_[i] - sgn) * (heights_[i] - heights_[i - 1]) /
-                   (pos_[i] - pos_[i - 1]));
-      if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-        heights_[i] = hp;
-      } else {
-        // Parabolic step would violate monotonicity: fall back to linear.
-        const int j = i + static_cast<int>(sgn);
-        heights_[i] += sgn * (heights_[j] - heights_[i]) /
-                       (pos_[j] - pos_[i]);
-      }
-      pos_[i] += sgn;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  expects(n_ > 0, "P2Quantile::value: no samples");
-  if (n_ < 5) {
-    // Exact small-sample quantile over the sorted prefix.
-    double buf[5];
-    std::copy(heights_, heights_ + n_, buf);
-    std::sort(buf, buf + n_);
-    const double pos = q_ * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, n_ - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return buf[lo] * (1.0 - frac) + buf[hi] * frac;
-  }
-  return heights_[2];
 }
 
 double median_of(std::vector<double> values) {

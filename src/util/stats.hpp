@@ -1,5 +1,5 @@
-// Streaming and batch statistics used by reactions (MAD over port counters),
-// the benchmark harness (latency percentiles), and the evaluation code.
+// Batch statistics used by reactions (MAD over port counters), the benchmark
+// harness (latency percentiles), and the evaluation code.
 #pragma once
 
 #include <cstddef>
@@ -7,26 +7,6 @@
 #include <vector>
 
 namespace mantis {
-
-/// Welford online mean/variance accumulator.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const;
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const;
-  double max() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 /// Batch sample container with percentile queries. Keeps all samples;
 /// intended for benchmark-scale data (up to a few million points).
@@ -52,32 +32,6 @@ class Samples {
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// P-square (P²) streaming quantile estimator (Jain & Chlamtac 1985):
-/// maintains five markers and adjusts them with parabolic interpolation, so
-/// one quantile is tracked in O(1) memory regardless of stream length. Used
-/// by telemetry histograms to report percentiles without retaining samples.
-class P2Quantile {
- public:
-  /// `q` in (0, 1), e.g. 0.99 for the 99th percentile.
-  explicit P2Quantile(double q);
-
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double q() const { return q_; }
-  /// Current estimate. Exact while fewer than 5 samples seen. Throws when
-  /// empty.
-  double value() const;
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  double heights_[5] = {};   ///< marker heights
-  double pos_[5] = {};       ///< actual marker positions (1-based)
-  double desired_[5] = {};   ///< desired marker positions
-  double increment_[5] = {}; ///< desired-position increments per sample
 };
 
 /// Median of a span of values (copies; input untouched). Throws when empty.

@@ -382,7 +382,9 @@ TEST_P(PackingProperty, InvariantsHold) {
     }
     EXPECT_EQ(used, bin.used);
     // No bin exceeds capacity unless it holds a single oversized item.
-    if (bin.used > cap) EXPECT_EQ(bin.items.size(), 1u);
+    if (bin.used > cap) {
+      EXPECT_EQ(bin.items.size(), 1u);
+    }
   }
   for (const auto s : seen) EXPECT_EQ(s, 1);
 

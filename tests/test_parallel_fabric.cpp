@@ -338,7 +338,7 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.seed = 11;
          return run_gray(c);
        },
-       "2694460de683ed48", "b0ff030a50036cbe", "5952a160ed239ad5",
+       "2694460de683ed48", "d44ac104a7951fd1", "5952a160ed239ad5",
        "8848712695ca3e1c"},
       {"gray 0.9 loss seed 21",
        [] {
@@ -347,7 +347,7 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.fault_loss = 0.9;
          return run_gray(c);
        },
-       "4dd2b5b6e2824c4c", "ad4e93ce09cbcea0", "c16ddd4901ff2488",
+       "4dd2b5b6e2824c4c", "318dd6a5531fc5f9", "c16ddd4901ff2488",
        "c15b14cf3c3fd086"},
       {"gray int_enable every 2 seed 7",
        [] {
@@ -357,7 +357,7 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.int_sample_every = 2;
          return run_gray(c);
        },
-       "06d824fb52a931ed", "7c7fc9e81fa6e9b8", "6b7695e6a2ece4f0",
+       "06d824fb52a931ed", "44f87b0a06bc6c56", "6b7695e6a2ece4f0",
        "88d54546a16792bf"},
       {"gray paced 5us async_push threads 4 seed 3",
        [] {
@@ -368,10 +368,10 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.threads = 4;
          return run_gray(c);
        },
-       "b791629fd29ad6c1", "24abc7fa3f046fb9", "adf81bc13c7a6112",
+       "b791629fd29ad6c1", "98f69eb44b65cc39", "adf81bc13c7a6112",
        "ff60147e808ecb19"},
       {"ecmp default", [] { return run_ecmp(net::EcmpScenarioConfig{}); },
-       "57b967ce1da85a37", "31aeda4a75e9827d", "18c1584e9031f63d",
+       "57b967ce1da85a37", "432af039a72af291", "18c1584e9031f63d",
        "4a35d885b9f36d32"},
       {"ecmp int_enable every 2",
        [] {
@@ -380,11 +380,11 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.int_sample_every = 2;
          return run_ecmp(c);
        },
-       "1f4a76ffdc094fb2", "1bdeb8bf42c00106", "b90b2b812f5bdaa7",
+       "1f4a76ffdc094fb2", "53fd0f795f2160fc", "b90b2b812f5bdaa7",
        "517fd639bbbf1cee"},
       {"intgray total loss seed 1",
        [] { return run_int_gray(int_tel::IntGrayScenarioConfig{}); },
-       "c65a3e77ac095d06", "25534d3bddda86b9", "82e6ffb5b442528b",
+       "c65a3e77ac095d06", "ee9c69e71122aae1", "82e6ffb5b442528b",
        "63d4768c367dd224"},
       {"intgray 0.35 loss seed 2",
        [] {
@@ -393,7 +393,7 @@ TEST(ScenarioGoldenPins, OutputsMatchRecordedDigests) {
          c.fault_loss = 0.35;
          return run_int_gray(c);
        },
-       "989a69abb0addd82", "cdc1cf96f44e17ef", "eea5a0ee85aff5fa",
+       "989a69abb0addd82", "03c3498adc9ce451", "eea5a0ee85aff5fa",
        "7a7c86e81644abc2"},
   };
   for (const auto& pin : pins) {

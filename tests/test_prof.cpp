@@ -84,7 +84,7 @@ TEST(ProfProfiler, ScopesAttributeSelfTimeToSites) {
   loop.schedule_at(10, [&] {
     MANTIS_PROF_SCOPE(&prof, kPipelineExecute, "test.scope_outer");
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   });
   loop.run();
   prof.set_enabled(false);

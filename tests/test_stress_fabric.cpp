@@ -97,9 +97,10 @@ TEST(StressFabric, SixtyFourSwitchGrayFailure) {
 // Datacenter-scale smoke: the bench's 1024-switch 3-tier Clos, shortened.
 // Parallel execution with multi-switch shard groups must deliver the exact
 // packet set the sequential loop does and record byte-identical metrics.
-// At 8 threads the engine runs 16 shard groups, so the barrier merges 16
-// telemetry lanes per round (tests/test_parallel_fabric.cpp holds the rest
-// of the determinism contract, on a small Clos where it is cheap).
+// At 8 threads the engine runs 16 shard groups, so every data-plane metric
+// sink records into 16 group parts that the snapshot merges
+// (tests/test_parallel_fabric.cpp holds the rest of the determinism
+// contract, on a small Clos where it is cheap).
 // ---------------------------------------------------------------------------
 
 struct ClosRun {

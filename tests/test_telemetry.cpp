@@ -1,7 +1,8 @@
-// Tests for src/telemetry: metrics (histograms with P² streaming quantiles),
-// the virtual-time tracer (ring buffer, spans, instants), the Chrome trace
-// exporter, and the full-stack integration (a dialogue iteration produces
-// the §6 phase spans in causal virtual-time order).
+// Tests for src/telemetry: metrics (order-free log-linear histograms and
+// gauges, recorded directly or in engine-group parts), the shard lanes'
+// closure merge, the virtual-time tracer (ring buffer, spans, instants),
+// the Chrome trace exporter, and the full-stack integration (a dialogue
+// iteration produces the §6 phase spans in causal virtual-time order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,54 +48,6 @@ void expect_balanced_json(const std::string& json) {
 }
 
 // ---------------------------------------------------------------------------
-// P² streaming quantiles
-// ---------------------------------------------------------------------------
-
-TEST(P2Quantile, SmallSampleIsExact) {
-  P2Quantile q(0.5);
-  for (const double v : {5.0, 1.0, 3.0}) q.add(v);
-  EXPECT_EQ(q.count(), 3u);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);  // exact median of {1,3,5}
-}
-
-TEST(P2Quantile, BootstrapMatchesExactOrderStatistics) {
-  // Below 5 samples P² has no markers yet; value() must fall back to the
-  // exact interpolated order statistic — pinned here against Samples, the
-  // batch implementation benches report from.
-  for (const double q : {0.25, 0.5, 0.9, 0.99}) {
-    const std::vector<double> stream = {40.0, 10.0, 30.0, 20.0};
-    P2Quantile est(q);
-    Samples exact;
-    for (std::size_t n = 0; n < stream.size(); ++n) {
-      est.add(stream[n]);
-      exact.add(stream[n]);
-      EXPECT_DOUBLE_EQ(est.value(), exact.percentile(q * 100.0))
-          << "q=" << q << " n=" << n + 1;
-    }
-  }
-  EXPECT_THROW(P2Quantile(0.5).value(), PreconditionError);
-}
-
-TEST(P2Quantile, TracksUniformMedianClosely) {
-  Rng rng(42);
-  P2Quantile p50(0.5), p90(0.9), p99(0.99);
-  std::vector<double> all;
-  for (int i = 0; i < 20'000; ++i) {
-    const double v = static_cast<double>(rng.uniform(1'000'000));
-    p50.add(v);
-    p90.add(v);
-    p99.add(v);
-    all.push_back(v);
-  }
-  std::sort(all.begin(), all.end());
-  auto exact = [&](double q) { return all[static_cast<std::size_t>(q * (all.size() - 1))]; };
-  // P² on a uniform distribution stays within ~2% of the exact quantile.
-  EXPECT_NEAR(p50.value(), exact(0.5), 0.02 * 1e6);
-  EXPECT_NEAR(p90.value(), exact(0.9), 0.02 * 1e6);
-  EXPECT_NEAR(p99.value(), exact(0.99), 0.02 * 1e6);
-}
-
-// ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 
@@ -107,7 +60,7 @@ TEST(Histogram, BucketsCountGeometrically) {
   h.record(10);   // <= 10 (bounds are inclusive upper)
   h.record(15);   // <= 20
   h.record(70);   // <= 80
-  h.record(1e9);  // overflow
+  h.record(1'000'000'000);  // overflow
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.bucket_count(0), 2u);
   EXPECT_EQ(h.bucket_count(1), 1u);
@@ -128,8 +81,8 @@ TEST(Histogram, StreamingQuantilesMatchRawWithinTolerance) {
   for (int i = 0; i < 10'000; ++i) {
     // Bimodal: the dialogue-latency shape (fast clean iterations + slow
     // update-heavy ones).
-    const double v = (i % 4 == 0) ? 40'000.0 + static_cast<double>(rng.uniform(5'000))
-                                  : 10'000.0 + static_cast<double>(rng.uniform(2'000));
+    const std::uint64_t v = (i % 4 == 0) ? 40'000 + rng.uniform(5'000)
+                                         : 10'000 + rng.uniform(2'000);
     stream.record(v);
     raw.record(v);
   }
@@ -146,6 +99,57 @@ TEST(Histogram, KeepRawGivesExactPercentilesAndView) {
   EXPECT_EQ(h.raw().count(), 100u);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), h.raw().median());
   EXPECT_THROW(Histogram().raw(), PreconditionError);
+}
+
+TEST(Histogram, GridQuantilesStayWithinOnePercentOfNearestRank) {
+  // The grid is exact below 128 and has 64 cells per power of two above it.
+  // Each quantile is within 1% of the nearest-rank sample it stands for,
+  // exact for the extreme ranks and below 128, and inside [min, max].
+  Rng rng(13);
+  std::vector<std::uint64_t> uniform, bimodal, heavy, constant, small, edges;
+  for (int i = 0; i < 20'000; ++i) {
+    uniform.push_back(rng.uniform(1'000'000));
+    bimodal.push_back(i % 4 == 0 ? 40'000 + rng.uniform(5'000)
+                                 : 10'000 + rng.uniform(2'000));
+    // Pareto, shape 1.1 from 1000 ns.
+    heavy.push_back(static_cast<std::uint64_t>(
+        1000.0 / std::pow(1.0 - rng.uniform01(), 1.0 / 1.1)));
+    constant.push_back(2700);
+    small.push_back(rng.uniform(128));
+  }
+  for (int k = 6; k <= 40; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    for (const std::uint64_t v : {p - 1, p, p + 1}) edges.push_back(v);
+  }
+  const std::pair<const char*, const std::vector<std::uint64_t>*> streams[] = {
+      {"uniform", &uniform},   {"bimodal", &bimodal},
+      {"heavy-tailed", &heavy}, {"constant", &constant},
+      {"below 128", &small},   {"power-of-two edges", &edges}};
+
+  for (const auto& [name, samples] : streams) {
+    Histogram h;
+    for (const std::uint64_t v : *samples) h.record(v);
+    std::vector<std::uint64_t> sorted = *samples;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+      const auto rank = std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 std::ceil(q * static_cast<double>(sorted.size()))));
+      const double exact = static_cast<double>(sorted[rank - 1]);
+      const double got = h.quantile(q);
+      EXPECT_LE(std::abs(got - exact), 0.01 * exact) << name << " q=" << q;
+      if (q == 0.0 || q == 1.0 || exact < 128 ||
+          sorted.front() == sorted.back()) {
+        EXPECT_EQ(got, exact) << name << " q=" << q;
+      }
+      EXPECT_GE(got, static_cast<double>(sorted.front())) << name;
+      EXPECT_LE(got, static_cast<double>(sorted.back())) << name;
+    }
+  }
+  EXPECT_THROW(Histogram().quantile(0.5), PreconditionError);
+  Histogram one;
+  one.record(5);
+  EXPECT_THROW(one.quantile(1.5), PreconditionError);
 }
 
 TEST(MetricsRegistry, GetOrCreateAndKindConflicts) {
@@ -166,7 +170,7 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   reg.counter("a.count").add(7);
   reg.gauge("b.depth").set(3.25);
   auto& h = reg.histogram("c.latency_ns");
-  for (int i = 0; i < 100; ++i) h.record(1000.0 * i);
+  for (int i = 0; i < 100; ++i) h.record(1000 * i);
   const auto json = reg.snapshot_json();
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
@@ -225,9 +229,7 @@ TEST(ShardLane, MergeOfInterleavedLanesAppliesInSortedOrder) {
   ASSERT_GT(lanes[0].ops().size(), 0u);
   ASSERT_GT(lanes[1].ops().size(), 0u);
 
-  telemetry::LaneReplay replay(ptrs);
-  replay.plan();
-  replay.run();
+  telemetry::ShardLane::merge_apply(ptrs);
   ASSERT_EQ(applied.size(), deferred);
   std::vector<Key> sorted = applied;
   std::sort(sorted.begin(), sorted.end());
@@ -235,138 +237,151 @@ TEST(ShardLane, MergeOfInterleavedLanesAppliesInSortedOrder) {
   for (const auto& lane : lanes) EXPECT_TRUE(lane.empty());
 
   // Lanes that are all empty apply nothing.
-  replay.plan();
-  replay.run();
+  telemetry::ShardLane::merge_apply(ptrs);
   EXPECT_EQ(applied.size(), deferred);
 }
 
-TEST(ShardLane, PerSinkReplayMatchesDirectRecording) {
-  // One event stream in canonical order — same-t ties across srcs, control
-  // (-1) included, 1-3 ops per event, some hitting one sink twice — goes to
-  // two histograms with different options, two gauges and a closure sink.
-  // A registry that records it directly is the reference. Dealt to three
-  // lanes plus an empty one, it must replay to the same snapshot and the
-  // same closure order whatever order the barrier's items run in.
-  struct Op {
-    int sink;  // 0, 1: histograms; 2, 3: gauges; 4: closure
-    double value;
-  };
-  struct Event {
-    Time t;
-    int src;
-    std::uint64_t seq;
-    std::size_t lane;
-    std::vector<Op> ops;
-  };
+// ---------------------------------------------------------------------------
+// Order-free sinks: direct and engine-group parts
+// ---------------------------------------------------------------------------
+
+TEST(OrderFreeSinks, HistogramSnapshotIgnoresOrderAndLaneSplit) {
+  // One multiset of samples must give one snapshot, whatever the order it
+  // is recorded in and however it is split between the direct part and
+  // 1-4 engine-group lanes: with the group parts grown between two rounds,
+  // and with lanes filled from two threads at once.
   Rng rng(11);
-  std::vector<Event> events;
-  std::vector<std::uint64_t> seq_by_src(4, 0);
-  const std::size_t dealt[] = {0, 2, 3};  // lane 1 stays empty
-  Time t = 0;
-  for (; t < 600; t += 1 + static_cast<Time>(rng.uniform(3))) {
-    for (int src = -1; src < 3; ++src) {
-      if (rng.chance(0.3)) continue;
-      Event ev{t, src, seq_by_src[static_cast<std::size_t>(src + 1)]++,
-               dealt[rng.uniform(3)], {}};
-      const auto n = 1 + rng.uniform(3);
-      for (std::uint64_t e = 0; e < n; ++e) {
-        const int sink = e > 0 && rng.chance(0.3)
-                             ? ev.ops.back().sink
-                             : static_cast<int>(rng.uniform(5));
-        ev.ops.push_back({sink, static_cast<double>(rng.uniform(5000)) +
-                                    rng.uniform01()});
-      }
-      events.push_back(std::move(ev));
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 4000; ++i) {
+    switch (rng.uniform(3)) {
+      case 0: samples.push_back(rng.uniform(128)); break;
+      case 1: samples.push_back(1000 + rng.uniform(50'000)); break;
+      default: samples.push_back(rng.uniform(std::uint64_t{1} << 40)); break;
     }
   }
-  // Gauge trap: gauge 2's last write sits in lane 0, listed before lane 3,
-  // which holds an earlier write. A "last lane wins" replay keeps 111.
-  events.push_back({t, 1, seq_by_src[2]++, 3, {{2, 111.0}}});
-  events.push_back({t + 1, 0, seq_by_src[1]++, 0, {{2, 222.0}}});
-
   HistogramOptions coarse;
   coarse.first_bucket = 16;
   coarse.growth = 1.5;
   coarse.buckets = 30;
-  coarse.quantiles = {0.25, 0.75, 0.95};
-  struct Sinks {
+  // Records `v` into both histograms of `reg`, in `lane` if any.
+  const auto record = [&](MetricsRegistry& reg, std::uint64_t v,
+                          telemetry::ShardLane* lane) {
+    telemetry::ShardLane::set_current(lane);
+    reg.histogram("h.default").record(v);
+    reg.histogram("h.coarse", coarse).record(v);
+    telemetry::ShardLane::set_current(nullptr);
+  };
+  const auto make_lanes = [](int groups) {
+    std::vector<telemetry::ShardLane> lanes;
+    for (int g = 0; g < groups; ++g) lanes.emplace_back(g, groups);
+    return lanes;
+  };
+
+  MetricsRegistry direct;
+  for (const std::uint64_t v : samples) record(direct, v, nullptr);
+  const std::string expected = direct.snapshot_json();
+  ASSERT_NE(expected.find("\"h.coarse\""), std::string::npos);
+
+  for (int order = 0; order < 3; ++order) {
+    std::vector<std::uint64_t> perm = samples;
+    if (order == 0) std::reverse(perm.begin(), perm.end());
+    if (order == 1) std::sort(perm.begin(), perm.end());
+    if (order == 2) std::shuffle(perm.begin(), perm.end(), rng);
     MetricsRegistry reg;
-    Histogram* h[2];
-    telemetry::Gauge* g[2];
-    std::vector<std::pair<std::uint64_t, double>> closure;
-  };
-  const auto make_sinks = [&coarse](Sinks& s) {
-    s.h[0] = &s.reg.histogram("h.default");
-    s.h[1] = &s.reg.histogram("h.coarse", coarse);
-    s.g[0] = &s.reg.gauge("g.a");
-    s.g[1] = &s.reg.gauge("g.b");
-  };
-  const auto record = [](Sinks& s, const Event& ev, const Op& op) {
-    if (op.sink < 2) {
-      s.h[op.sink]->record(op.value);
-    } else if (op.sink < 4) {
-      s.g[op.sink - 2]->set(op.value);
-    } else if (telemetry::ShardLane* lane = telemetry::ShardLane::current()) {
-      lane->defer([&s, seq = ev.seq, v = op.value] {
-        s.closure.emplace_back(seq, v);
-      });
-    } else {
-      s.closure.emplace_back(ev.seq, op.value);
-    }
-  };
-
-  Sinks direct;
-  make_sinks(direct);
-  for (const auto& ev : events) {
-    for (const auto& op : ev.ops) record(direct, ev, op);
+    for (const std::uint64_t v : perm) record(reg, v, nullptr);
+    EXPECT_EQ(reg.snapshot_json(), expected) << "order " << order;
   }
-  ASSERT_EQ(direct.g[0]->value(), 222.0);
-  Sinks untouched;
-  make_sinks(untouched);
 
-  enum class Order { kClaim, kReverse, kTwoThreads };
-  for (const Order order : {Order::kClaim, Order::kReverse, Order::kTwoThreads}) {
-    SCOPED_TRACE(static_cast<int>(order));
-    Sinks laned;
-    make_sinks(laned);
-    std::vector<telemetry::ShardLane> lanes(4);
-    for (const auto& ev : events) {
-      telemetry::ShardLane& lane = lanes[ev.lane];
-      telemetry::ShardLane::set_current(&lane);
-      lane.begin_event(ev.t, ev.src, ev.seq);
-      for (const auto& op : ev.ops) record(laned, ev, op);
-      telemetry::ShardLane::set_current(nullptr);
+  for (int groups = 1; groups <= 4; ++groups) {
+    // The first tenth records directly, the rest is dealt at random.
+    MetricsRegistry reg;
+    auto lanes = make_lanes(groups);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      record(reg, samples[i],
+             i < samples.size() / 10 ? nullptr
+                                     : &lanes[rng.uniform(lanes.size())]);
     }
-    // Everything was deferred: nothing reached the sinks yet.
-    ASSERT_TRUE(lanes[1].empty());
-    ASSERT_EQ(laned.reg.snapshot_json(), untouched.reg.snapshot_json());
-    ASSERT_TRUE(laned.closure.empty());
+    EXPECT_EQ(reg.snapshot_json(), expected) << groups << " groups";
+  }
 
-    std::vector<telemetry::ShardLane*> ptrs;
-    for (auto& lane : lanes) ptrs.push_back(&lane);
-    telemetry::LaneReplay replay(ptrs);
-    replay.plan();
-    ASSERT_EQ(replay.size(), 5u);  // four typed sinks and the closure stream
-    switch (order) {
-      case Order::kClaim:
-        for (std::size_t i = 0; i < replay.size(); ++i) replay.replay(i);
-        break;
-      case Order::kReverse:
-        for (std::size_t i = replay.size(); i-- > 0;) replay.replay(i);
-        break;
-      case Order::kTwoThreads: {
-        std::thread a([&replay] { replay.run(); });
-        std::thread b([&replay] { replay.run(); });
-        a.join();
-        b.join();
-        break;
+  {
+    // A wider engine on the same registry grows the parts between rounds;
+    // a narrower one after it keeps the width.
+    MetricsRegistry reg;
+    ASSERT_EQ(reg.group_parts_width(2), 2);
+    auto two = make_lanes(2);
+    const std::size_t third = samples.size() / 3;
+    for (std::size_t i = 0; i < third; ++i) {
+      record(reg, samples[i], &two[i % 2]);
+    }
+    ASSERT_EQ(reg.group_parts_width(4), 4);
+    auto four = make_lanes(4);
+    for (std::size_t i = third; i < 2 * third; ++i) {
+      record(reg, samples[i], &four[i % 4]);
+    }
+    ASSERT_EQ(reg.group_parts_width(3), 4);
+    std::vector<telemetry::ShardLane> three;
+    for (int g = 0; g < 3; ++g) three.emplace_back(g, 4);
+    for (std::size_t i = 2 * third; i < samples.size(); ++i) {
+      record(reg, samples[i], &three[i % 3]);
+    }
+    EXPECT_EQ(reg.snapshot_json(), expected) << "grown";
+  }
+
+  {
+    // Two threads fill lanes 0-1 and 2-3 at once, as two engine workers
+    // do: each writes only its own groups' parts.
+    MetricsRegistry reg;
+    auto lanes = make_lanes(4);
+    const auto fill = [&](std::size_t first) {
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (i % 4 / 2 == first / 2) record(reg, samples[i], &lanes[i % 4]);
       }
-    }
-    EXPECT_EQ(laned.reg.snapshot_json(), direct.reg.snapshot_json());
-    EXPECT_EQ(laned.closure, direct.closure);
-    EXPECT_EQ(laned.g[0]->value(), 222.0);
-    for (const auto& lane : lanes) EXPECT_TRUE(lane.empty());
+    };
+    std::thread a(fill, 0);
+    std::thread b(fill, 2);
+    a.join();
+    b.join();
+    EXPECT_EQ(reg.snapshot_json(), expected) << "two threads";
   }
+}
+
+TEST(OrderFreeSinks, GaugeReadsTheHighestKeyedSet) {
+  // A set inside a round keeps the event's key in its group's part, and a
+  // read takes the highest key. Trap: the last write sits in lane 0 and an
+  // earlier one in lane 3, so a "last lane wins" read would give 111. A
+  // direct set between rounds supersedes every part.
+  MetricsRegistry reg;
+  telemetry::Gauge& g = reg.gauge("g");
+  std::vector<telemetry::ShardLane> lanes;
+  for (int i = 0; i < 4; ++i) lanes.emplace_back(i, 4);
+  const auto set_in = [&](std::size_t lane, Time t, int src,
+                          std::uint64_t seq, double v) {
+    telemetry::ShardLane::set_current(&lanes[lane]);
+    lanes[lane].begin_event(t, src, seq);
+    g.set(v);
+    telemetry::ShardLane::set_current(nullptr);
+  };
+
+  // Round 1.
+  set_in(3, 100, 1, 7, 111.0);
+  set_in(0, 101, 0, 3, 222.0);
+  set_in(2, 100, 0, 9, 99.0);  // same t as lane 3's set, lower src
+  EXPECT_EQ(g.value(), 222.0);
+  // A control event between rounds.
+  g.set(333.0);
+  EXPECT_EQ(g.value(), 333.0);
+  // Round 2: lane 1 holds the later set, lane 2 an earlier one.
+  set_in(2, 200, 2, 0, 444.0);
+  set_in(1, 200, 3, 0, 555.0);
+  EXPECT_EQ(g.value(), 555.0);
+
+  // The same sets made directly, in canonical key order.
+  MetricsRegistry seq;
+  for (const double v : {99.0, 111.0, 222.0, 333.0, 444.0, 555.0}) {
+    seq.gauge("g").set(v);
+  }
+  EXPECT_EQ(reg.snapshot_json(), seq.snapshot_json());
 }
 
 // ---------------------------------------------------------------------------

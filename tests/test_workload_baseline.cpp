@@ -268,7 +268,9 @@ TEST(FlowClasses, ZipfPartitionIsExactAndHeavyTailed) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     sum += parts[i];
-    if (i > 0) EXPECT_LE(parts[i], parts[i - 1]) << "class " << i;
+    if (i > 0) {
+      EXPECT_LE(parts[i], parts[i - 1]) << "class " << i;
+    }
   }
   EXPECT_EQ(sum, 1'000'000u);                  // exact partition
   EXPECT_GT(parts[0], 10 * parts[63]);         // heavy tail
