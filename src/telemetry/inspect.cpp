@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
@@ -117,9 +118,11 @@ std::string mfr_chrome_json(const MfrDump& dump) {
         << flight_kind_name(kind) << "\"}}";
   }
 
+  // Virtual ns -> trace microseconds; the fraction keeps all three digits.
   auto ts_us = [](Time t) {
     std::ostringstream s;
-    s << (t / 1000) << "." << (t % 1000 < 0 ? -(t % 1000) : t % 1000);
+    s << (t / 1000) << "." << std::setw(3) << std::setfill('0')
+      << (t % 1000 < 0 ? -(t % 1000) : t % 1000);
     return s.str();
   };
 

@@ -154,5 +154,28 @@ TEST(InspectCli, RenderersRoundTripThroughMfrText) {
   EXPECT_EQ(mfr_channel_text(reparsed), mfr_channel_text(dump));
 }
 
+TEST(InspectCli, ChromeExportKeepsEveryNanosecondDigit) {
+  // 1005 ns and 1050 ns are distinct instants: 1.005 us and 1.050 us.
+  MfrDump dump;
+  FlightEvent a;
+  a.t = 1005;
+  a.seq = 1;
+  a.name = "a";
+  FlightEvent b = a;
+  b.t = 1050;
+  b.seq = 2;
+  b.name = "b";
+  dump.events = {a, b};
+  const std::string json = mfr_chrome_json(dump);
+  EXPECT_NE(json.find("\"name\": \"a\", \"cat\": \"mfr\", \"ph\": \"i\", "
+                      "\"s\": \"t\", \"pid\": 0, \"tid\": 2, \"ts\": 1.005,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\": \"b\", \"cat\": \"mfr\", \"ph\": \"i\", "
+                      "\"s\": \"t\", \"pid\": 0, \"tid\": 2, \"ts\": 1.050,"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace mantis::telemetry
