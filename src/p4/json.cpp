@@ -17,12 +17,7 @@ class JsonWriter {
     out_ << "{";
     push();
   }
-  void end_object() {
-    pop();
-    pending_value_ = false;  // an empty container consumed its key's value
-    newline();
-    out_ << "}";
-  }
+  void end_object() { end('}'); }
   void begin_array(const std::string& key) {
     this->key(key);
     out_ << "[";
@@ -33,12 +28,7 @@ class JsonWriter {
     out_ << "[";
     push_no_comma();
   }
-  void end_array() {
-    pop();
-    pending_value_ = false;  // an empty container consumed its key's value
-    newline();
-    out_ << "]";
-  }
+  void end_array() { end(']'); }
   void key(const std::string& k) {
     comma();
     write_string(k);
@@ -93,6 +83,14 @@ class JsonWriter {
   void pop() {
     --depth_;
     need_comma_.pop_back();
+  }
+  /// Closes a container; an empty one stays on its opening line ([], {}).
+  void end(char close) {
+    const bool empty = !need_comma_.back();
+    pop();
+    pending_value_ = false;  // an empty container consumed its key's value
+    if (!empty) newline();
+    out_ << close;
   }
   void newline() {
     out_ << "\n" << std::string(static_cast<std::size_t>(depth_) * 2, ' ');

@@ -308,7 +308,7 @@ std::string MetricsRegistry::snapshot_json() const {
       out << "}";
     }
   }
-  out << "\n}";
+  out << (first ? "}" : "\n}");
   return out.str();
 }
 

@@ -113,6 +113,8 @@ TEST(JsonPins, MetricsSnapshot) {
   telemetry::MetricsRegistry reg;
   fill_registry(reg);
   expect_golden("metrics_snapshot.json", reg.snapshot_json());
+  // An empty container stays on one line, as in every artefact.
+  EXPECT_EQ(telemetry::MetricsRegistry().snapshot_json(), "{}");
 }
 
 TEST(JsonPins, ReportWithParams) {
