@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
   bench::print_row({"switches", "threads", "wall_ms", "speedup", "Mev/s",
                     "pkts"});
 
-  std::string prof_json, prof_folded;
+  telemetry::prof::ProfileReport showcase;
   bool showcased = false;
   for (const int switches : {4, 8, 16}) {
     double base_ms = 0;
@@ -306,8 +306,7 @@ int main(int argc, char** argv) {
       report.set(key + ".speedup", speedup);
       report.set(key + ".events_per_sec", r.events_per_sec());
       if (switches == prof_switches && threads == prof_threads) {
-        prof_json = r.prof.to_json();
-        prof_folded = r.prof.to_folded();
+        showcase = r.prof;
         showcased = true;
       }
     }
@@ -372,17 +371,16 @@ int main(int argc, char** argv) {
                       std::to_string(prof_threads), bench::fmt(r.wall_ms, 2),
                       "-", bench::fmt(r.events_per_sec() / 1e6, 2),
                       std::to_string(r.delivered)});
-    prof_json = r.prof.to_json();
-    prof_folded = r.prof.to_folded();
+    showcase = r.prof;
   }
 
-  report.set_prof(prof_json);
+  report.set_prof(showcase);
   if (!prof_path.empty()) {
-    telemetry::write_text_file(prof_path, prof_json);
+    telemetry::write_text_file(prof_path, showcase.to_json());
     std::printf("profile: %s\n", prof_path.c_str());
   }
   if (!folded_path.empty()) {
-    telemetry::write_text_file(folded_path, prof_folded);
+    telemetry::write_text_file(folded_path, showcase.to_folded());
     std::printf("folded stacks: %s\n", folded_path.c_str());
   }
 

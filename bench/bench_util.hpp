@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,14 +86,16 @@ class Report {
 
   const std::string& out_path() const { return out_path_; }
 
-  /// Attaches a hot-path profile (prof::ProfileReport::to_json()); write()
-  /// embeds it as the report's "prof" section.
-  void set_prof(std::string prof_json) { prof_json_ = std::move(prof_json); }
+  /// Attaches a hot-path profile; write() embeds it as the report's "prof"
+  /// section.
+  void set_prof(telemetry::prof::ProfileReport prof) {
+    prof_ = std::move(prof);
+  }
 
   void write() const {
     telemetry::write_text_file(
-        out_path_,
-        telemetry::report_json(name_, params_, metrics_, prof_json_));
+        out_path_, telemetry::report_json(name_, params_, metrics_,
+                                          prof_ ? &*prof_ : nullptr));
     std::printf("\nresults: %s\n", out_path_.c_str());
   }
 
@@ -101,7 +104,7 @@ class Report {
   std::string out_path_;
   telemetry::ReportParams params_;
   telemetry::MetricsRegistry metrics_;
-  std::string prof_json_;
+  std::optional<telemetry::prof::ProfileReport> prof_;
 };
 
 /// google-benchmark reporter that mirrors each run into Report gauges

@@ -1,147 +1,33 @@
 #include "p4/json.hpp"
 
-#include <sstream>
+#include "util/json.hpp"
 
 namespace mantis::p4 {
 
 namespace {
 
-/// Minimal JSON writer: handles the escaping we need (identifiers are ASCII,
-/// but be defensive) and tracks comma placement per nesting level.
-class JsonWriter {
- public:
-  std::string take() { return out_.str(); }
-
-  void begin_object() {
-    comma();
-    out_ << "{";
-    push();
-  }
-  void end_object() { end('}'); }
-  void begin_array(const std::string& key) {
-    this->key(key);
-    out_ << "[";
-    push_no_comma();
-  }
-  void begin_array() {
-    comma();
-    out_ << "[";
-    push_no_comma();
-  }
-  void end_array() { end(']'); }
-  void key(const std::string& k) {
-    comma();
-    write_string(k);
-    out_ << ": ";
-    pending_value_ = true;
-  }
-  void value(const std::string& v) {
-    comma();
-    write_string(v);
-  }
-  void value(const char* v) { value(std::string(v)); }
-  void value(std::uint64_t v) {
-    comma();
-    out_ << v;
-  }
-  void value(std::int64_t v) {
-    comma();
-    out_ << v;
-  }
-  void value(bool v) {
-    comma();
-    out_ << (v ? "true" : "false");
-  }
-  void field(const std::string& k, const std::string& v) {
-    key(k);
-    value(v);
-  }
-  void field(const std::string& k, const char* v) {
-    key(k);
-    value(std::string(v));
-  }
-  void field(const std::string& k, std::uint64_t v) {
-    key(k);
-    value(v);
-  }
-  void field(const std::string& k, bool v) {
-    key(k);
-    value(v);
-  }
-
- private:
-  std::ostringstream out_;
-  std::vector<bool> need_comma_{false};
-  int depth_ = 0;
-  bool pending_value_ = false;
-
-  void push() {
-    ++depth_;
-    need_comma_.push_back(false);
-  }
-  void push_no_comma() { push(); }
-  void pop() {
-    --depth_;
-    need_comma_.pop_back();
-  }
-  /// Closes a container; an empty one stays on its opening line ([], {}).
-  void end(char close) {
-    const bool empty = !need_comma_.back();
-    pop();
-    pending_value_ = false;  // an empty container consumed its key's value
-    if (!empty) newline();
-    out_ << close;
-  }
-  void newline() {
-    out_ << "\n" << std::string(static_cast<std::size_t>(depth_) * 2, ' ');
-  }
-  void comma() {
-    if (pending_value_) {
-      // The value directly follows its key; no comma or newline, but the
-      // enclosing container's next element still needs a separator.
-      pending_value_ = false;
-      need_comma_.back() = true;
-      return;
-    }
-    if (need_comma_.back()) out_ << ",";
-    need_comma_.back() = true;
-    newline();
-  }
-  void write_string(const std::string& s) {
-    out_ << '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': out_ << "\\\""; break;
-        case '\\': out_ << "\\\\"; break;
-        case '\n': out_ << "\\n"; break;
-        case '\t': out_ << "\\t"; break;
-        default: out_ << c;
-      }
-    }
-    out_ << '"';
-  }
-};
+/// Opens the array that is member `key`'s value. Program JSON keeps such an
+/// array's first element on the bracket's line.
+void begin_array(JsonWriter& w, std::string_view key) {
+  w.key(key).begin_array(JsonWriter::Layout::kHanging);
+}
 
 void emit_operand(JsonWriter& w, const Program& prog, const ActionDecl& act,
                   const Operand& o) {
   w.begin_object();
   switch (o.kind) {
     case OperandKind::kField:
-      w.field("type", "field");
-      w.field("value", prog.fields.full_name(o.field));
+      w.field("type", "field").field("value", prog.fields.full_name(o.field));
       break;
     case OperandKind::kConst:
-      w.field("type", "hexstr");
-      w.field("value", o.value);
+      w.field("type", "hexstr").field("value", o.value);
       break;
     case OperandKind::kParam:
-      w.field("type", "runtime_data");
-      w.field("value", act.params[o.param].name);
-      w.field("index", static_cast<std::uint64_t>(o.param));
+      w.field("type", "runtime_data").field("value", act.params[o.param].name);
+      w.field("index", o.param);
       break;
     case OperandKind::kMbl:
-      w.field("type", "malleable");
-      w.field("value", o.mbl);
+      w.field("type", "malleable").field("value", o.mbl);
       break;
   }
   w.end_object();
@@ -152,30 +38,27 @@ void emit_control(JsonWriter& w, const Program& prog,
   for (const auto& node : nodes) {
     w.begin_object();
     if (const auto* apply = std::get_if<ApplyNode>(&node.node)) {
-      w.field("op", "apply");
-      w.field("table", apply->table);
+      w.field("op", "apply").field("table", apply->table);
     } else {
       const auto& ifn = std::get<IfNode>(node.node);
       w.field("op", "if");
       auto cond_side = [&](const char* key, const Operand& o) {
-        w.key(key);
-        w.begin_object();
+        w.key(key).begin_object();
         if (o.kind == OperandKind::kField) {
           w.field("type", "field");
           w.field("value", prog.fields.full_name(o.field));
         } else {
-          w.field("type", "hexstr");
-          w.field("value", o.value);
+          w.field("type", "hexstr").field("value", o.value);
         }
         w.end_object();
       };
       cond_side("left", ifn.cond.lhs);
-      w.field("relation", std::string(rel_op_name(ifn.cond.op)));
+      w.field("relation", rel_op_name(ifn.cond.op));
       cond_side("right", ifn.cond.rhs);
-      w.begin_array("then");
+      begin_array(w, "then");
       emit_control(w, prog, ifn.then_branch);
       w.end_array();
-      w.begin_array("else");
+      begin_array(w, "else");
       emit_control(w, prog, ifn.else_branch);
       w.end_array();
     }
@@ -188,18 +71,17 @@ void emit_control(JsonWriter& w, const Program& prog,
 std::string emit_json(const Program& prog) {
   JsonWriter w;
   w.begin_object();
-  w.field("program", prog.name);
-  w.field("target", "mantis-rmt-sim");
+  w.field("program", prog.name).field("target", "mantis-rmt-sim");
 
-  w.begin_array("header_types");
+  begin_array(w, "header_types");
   for (const auto& ht : prog.header_types) {
     w.begin_object();
     w.field("name", ht.name);
-    w.begin_array("fields");
+    begin_array(w, "fields");
     for (const auto& f : ht.fields) {
       w.begin_array();
       w.value(f.name);
-      w.value(static_cast<std::uint64_t>(f.width));
+      w.value(f.width);
       w.end_array();
     }
     w.end_array();
@@ -207,14 +89,13 @@ std::string emit_json(const Program& prog) {
   }
   w.end_array();
 
-  w.begin_array("headers");
+  begin_array(w, "headers");
   for (const auto& inst : prog.instances) {
     w.begin_object();
-    w.field("name", inst.name);
-    w.field("header_type", inst.type_name);
+    w.field("name", inst.name).field("header_type", inst.type_name);
     w.field("metadata", inst.is_metadata);
     if (!inst.initializers.empty()) {
-      w.begin_array("initializers");
+      begin_array(w, "initializers");
       for (const auto& [fname, value] : inst.initializers) {
         w.begin_array();
         w.value(fname);
@@ -227,30 +108,28 @@ std::string emit_json(const Program& prog) {
   }
   w.end_array();
 
-  w.begin_array("registers");
+  begin_array(w, "registers");
   for (const auto& reg : prog.registers) {
     w.begin_object();
-    w.field("name", reg.name);
-    w.field("bitwidth", static_cast<std::uint64_t>(reg.width));
-    w.field("size", static_cast<std::uint64_t>(reg.instance_count));
+    w.field("name", reg.name).field("bitwidth", reg.width);
+    w.field("size", reg.instance_count);
     w.end_object();
   }
   w.end_array();
 
-  w.begin_array("counters");
+  begin_array(w, "counters");
   for (const auto& ctr : prog.counters) {
     w.begin_object();
-    w.field("name", ctr.name);
-    w.field("size", static_cast<std::uint64_t>(ctr.instance_count));
+    w.field("name", ctr.name).field("size", ctr.instance_count);
     w.end_object();
   }
   w.end_array();
 
-  w.begin_array("field_lists");
+  begin_array(w, "field_lists");
   for (const auto& fl : prog.field_lists) {
     w.begin_object();
     w.field("name", fl.name);
-    w.begin_array("elements");
+    begin_array(w, "elements");
     for (const auto& entry : fl.fields) {
       w.value(entry.is_malleable() ? "${" + entry.mbl + "}"
                                    : prog.fields.full_name(entry.field));
@@ -260,35 +139,32 @@ std::string emit_json(const Program& prog) {
   }
   w.end_array();
 
-  w.begin_array("calculations");
+  begin_array(w, "calculations");
   for (const auto& hc : prog.hash_calcs) {
     w.begin_object();
-    w.field("name", hc.name);
-    w.field("input", hc.field_list);
-    w.field("algo", hc.algorithm);
-    w.field("output_width", static_cast<std::uint64_t>(hc.output_width));
+    w.field("name", hc.name).field("input", hc.field_list);
+    w.field("algo", hc.algorithm).field("output_width", hc.output_width);
     w.end_object();
   }
   w.end_array();
 
-  w.begin_array("actions");
+  begin_array(w, "actions");
   for (const auto& act : prog.actions) {
     w.begin_object();
     w.field("name", act.name);
-    w.begin_array("runtime_data");
+    begin_array(w, "runtime_data");
     for (const auto& p : act.params) {
       w.begin_object();
-      w.field("name", p.name);
-      w.field("bitwidth", static_cast<std::uint64_t>(p.width));
+      w.field("name", p.name).field("bitwidth", p.width);
       w.end_object();
     }
     w.end_array();
-    w.begin_array("primitives");
+    begin_array(w, "primitives");
     for (const auto& ins : act.body) {
       w.begin_object();
-      w.field("op", std::string(prim_op_name(ins.op)));
+      w.field("op", prim_op_name(ins.op));
       if (!ins.object.empty()) w.field("object", ins.object);
-      w.begin_array("parameters");
+      begin_array(w, "parameters");
       for (const auto& arg : ins.args) emit_operand(w, prog, act, arg);
       w.end_array();
       w.end_object();
@@ -298,29 +174,27 @@ std::string emit_json(const Program& prog) {
   }
   w.end_array();
 
-  w.begin_array("tables");
+  begin_array(w, "tables");
   for (const auto& tbl : prog.tables) {
     w.begin_object();
-    w.field("name", tbl.name);
-    w.field("max_size", static_cast<std::uint64_t>(tbl.size));
-    w.begin_array("key");
+    w.field("name", tbl.name).field("max_size", tbl.size);
+    begin_array(w, "key");
     for (const auto& read : tbl.reads) {
       w.begin_object();
-      w.field("match_type", std::string(match_kind_name(read.kind)));
+      w.field("match_type", match_kind_name(read.kind));
       w.field("target", read.is_malleable() ? "${" + read.mbl + "}"
                                             : prog.fields.full_name(read.field));
       if (read.premask != ~std::uint64_t{0}) w.field("mask", read.premask);
       w.end_object();
     }
     w.end_array();
-    w.begin_array("actions");
+    begin_array(w, "actions");
     for (const auto& a : tbl.actions) w.value(a);
     w.end_array();
     if (!tbl.default_action.empty()) {
-      w.key("default_action");
-      w.begin_object();
+      w.key("default_action").begin_object();
       w.field("name", tbl.default_action);
-      w.begin_array("args");
+      begin_array(w, "args");
       for (const auto v : tbl.default_action_args) w.value(v);
       w.end_array();
       w.end_object();
@@ -329,11 +203,11 @@ std::string emit_json(const Program& prog) {
   }
   w.end_array();
 
-  w.begin_array("pipelines");
+  begin_array(w, "pipelines");
   for (const auto* block : {&prog.ingress, &prog.egress}) {
     w.begin_object();
     w.field("name", block == &prog.ingress ? "ingress" : "egress");
-    w.begin_array("control");
+    begin_array(w, "control");
     emit_control(w, prog, block->nodes);
     w.end_array();
     w.end_object();
@@ -341,9 +215,8 @@ std::string emit_json(const Program& prog) {
   w.end_array();
 
   w.end_object();
-  auto s = w.take();
-  s += "\n";
-  return s;
+  // The document has always opened with a blank line.
+  return "\n" + w.take() + "\n";
 }
 
 }  // namespace mantis::p4

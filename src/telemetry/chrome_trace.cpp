@@ -1,76 +1,85 @@
 #include "telemetry/chrome_trace.hpp"
 
-#include <cstdio>
-#include <sstream>
-
-#include "telemetry/metrics.hpp"  // json_escape, write_text_file
+#include "telemetry/metrics.hpp"  // write_text_file
 #include "telemetry/prof/prof.hpp"
 
 namespace mantis::telemetry {
 
 namespace {
 
-/// Virtual ns -> trace microseconds, with sub-us precision preserved.
-std::string us_from_ns(std::int64_t ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000 < 0 ? -(ns % 1000) : ns % 1000));
-  return buf;
+constexpr auto kInline = JsonWriter::Layout::kInline;
+constexpr unsigned kProfTid = 6;  // the profiler's lane, after the tracer's
+
+const char* phase_name(TraceEvent::Phase phase) {
+  switch (phase) {
+    case TraceEvent::Phase::kComplete: return "X";
+    case TraceEvent::Phase::kInstant: return "i";
+    case TraceEvent::Phase::kFlowStart: return "s";
+    case TraceEvent::Phase::kFlowStep: return "t";
+    case TraceEvent::Phase::kFlowEnd: return "f";
+  }
+  return "X";
 }
 
 }  // namespace
 
+ChromeTraceWriter::ChromeTraceWriter() {
+  w_.begin_object();
+  w_.field("displayTimeUnit", "ns").key("traceEvents").begin_array();
+}
+
+void ChromeTraceWriter::lane(unsigned tid, std::string_view name) {
+  w_.begin_object(kInline);
+  w_.field("ph", "M").field("pid", 0).field("tid", tid);
+  w_.field("name", "thread_name").key("args").begin_object(kInline);
+  w_.field("name", name).end_object();
+  w_.end_object();
+}
+
+JsonWriter& ChromeTraceWriter::begin_event(std::string_view name,
+                                           std::string_view cat,
+                                           std::string_view ph) {
+  w_.begin_object(kInline);
+  return w_.field("name", name).field("cat", cat).field("ph", ph);
+}
+
+void ChromeTraceWriter::time(std::string_view key, Time ns) {
+  w_.key(key).fixed(ns, 3);
+}
+
+std::string ChromeTraceWriter::take() {
+  w_.end_array();
+  w_.end_object();
+  return w_.take() + "\n";
+}
+
 std::string chrome_trace_json(const Tracer& tracer,
                               const prof::Profiler* profiler) {
-  std::ostringstream out;
-  out << "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [";
-
-  bool first = true;
-  auto emit_sep = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
-
-  // Lane names (chrome "thread_name" metadata events).
+  ChromeTraceWriter out;
   for (std::size_t t = 0; t < kNumTracks; ++t) {
-    emit_sep();
-    out << R"({"ph": "M", "pid": 0, "tid": )" << t
-        << R"(, "name": "thread_name", "args": {"name": ")"
-        << track_name(static_cast<Track>(t)) << "\"}}";
+    out.lane(static_cast<unsigned>(t), track_name(static_cast<Track>(t)));
   }
 
   for (const auto& ev : tracer.events()) {
-    emit_sep();
-    const char* ph = "X";
-    switch (ev.phase) {
-      case TraceEvent::Phase::kComplete: ph = "X"; break;
-      case TraceEvent::Phase::kInstant: ph = "i"; break;
-      case TraceEvent::Phase::kFlowStart: ph = "s"; break;
-      case TraceEvent::Phase::kFlowStep: ph = "t"; break;
-      case TraceEvent::Phase::kFlowEnd: ph = "f"; break;
-    }
-    out << "{\"name\": \"" << json_escape(ev.name) << "\", \"cat\": \""
-        << json_escape(ev.category) << "\", \"ph\": \"" << ph
-        << "\", \"pid\": 0, \"tid\": " << static_cast<unsigned>(ev.track)
-        << ", \"ts\": " << us_from_ns(ev.vt_begin);
+    JsonWriter& w = out.begin_event(ev.name, ev.category, phase_name(ev.phase));
+    w.field("pid", 0).field("tid", static_cast<unsigned>(ev.track));
+    out.time("ts", ev.vt_begin);
     if (ev.phase == TraceEvent::Phase::kComplete) {
-      out << ", \"dur\": " << us_from_ns(ev.vt_dur);
+      out.time("dur", ev.vt_dur);
     } else if (ev.phase == TraceEvent::Phase::kInstant) {
-      out << ", \"s\": \"t\"";
+      w.field("s", "t");
     } else {
       // Flow events carry the correlation id; the end event binds to the
       // enclosing slice ("bp": "e") so a dangling start stays valid JSON and
       // simply renders as an unterminated arrow.
-      out << ", \"id\": " << ev.flow_id;
-      if (ev.phase == TraceEvent::Phase::kFlowEnd) out << ", \"bp\": \"e\"";
+      w.field("id", ev.flow_id);
+      if (ev.phase == TraceEvent::Phase::kFlowEnd) w.field("bp", "e");
     }
-    out << ", \"args\": {\"wall_ns\": " << ev.wall_ns;
-    if (ev.arg_name != nullptr) {
-      out << ", \"" << json_escape(ev.arg_name) << "\": " << ev.arg;
-    }
-    out << "}}";
+    w.key("args").begin_object(kInline);
+    w.field("wall_ns", ev.wall_ns);
+    if (ev.arg_name != nullptr) w.field(ev.arg_name, ev.arg);
+    w.end_object();
+    out.end_event();
   }
 
   // Profiler counter tracks: per-kind host-cycle burn rate over virtual
@@ -79,41 +88,34 @@ std::string chrome_trace_json(const Tracer& tracer,
   // self-time so the chart shows where host time went in each window.
   if (profiler != nullptr) {
     const prof::ProfileReport rep = profiler->report();
-    constexpr unsigned kProfTid = 6;  // one past the fixed tracer lanes
-    if (!rep.samples.empty()) {
-      emit_sep();
-      out << R"({"ph": "M", "pid": 0, "tid": )" << kProfTid
-          << R"(, "name": "thread_name", "args": {"name": "prof"}})";
-    }
+    if (!rep.samples.empty()) out.lane(kProfTid, "prof");
+    // Opens a counter event and its "args" object.
+    auto counter = [&out](const char* name, Time vt) -> JsonWriter& {
+      JsonWriter& w = out.begin_event(name, "prof", "C");
+      w.field("pid", 0).field("tid", kProfTid);
+      out.time("ts", vt);
+      w.key("args").begin_object(kInline);
+      return w;
+    };
     prof::ProfileReport::Sample prev{};
     for (const auto& s : rep.samples) {
-      emit_sep();
-      out << "{\"name\": \"prof.self_ns\", \"cat\": \"prof\", \"ph\": \"C\", "
-             "\"pid\": 0, \"tid\": "
-          << kProfTid << ", \"ts\": " << us_from_ns(s.vt) << ", \"args\": {";
-      bool first_arg = true;
+      JsonWriter& w = counter("prof.self_ns", s.vt);
       for (std::size_t k = 0; k < prof::kNumKinds; ++k) {
         const std::uint64_t cur = s.kind_self_ns[k];
         const std::uint64_t delta =
             cur >= prev.kind_self_ns[k] ? cur - prev.kind_self_ns[k] : 0;
         if (cur == 0 && delta == 0) continue;
-        if (!first_arg) out << ", ";
-        first_arg = false;
-        out << "\"" << prof::kind_name(static_cast<prof::EventKind>(k))
-            << "\": " << delta;
+        w.field(prof::kind_name(static_cast<prof::EventKind>(k)), delta);
       }
-      out << "}}";
-      emit_sep();
-      out << "{\"name\": \"prof.events\", \"cat\": \"prof\", \"ph\": \"C\", "
-             "\"pid\": 0, \"tid\": "
-          << kProfTid << ", \"ts\": " << us_from_ns(s.vt)
-          << ", \"args\": {\"events\": " << (s.events - prev.events) << "}}";
+      w.end_object();
+      out.end_event();
+      counter("prof.events", s.vt).field("events", s.events - prev.events);
+      w.end_object();
+      out.end_event();
       prev = s;
     }
   }
-
-  out << "\n]\n}\n";
-  return out.str();
+  return out.take();
 }
 
 void write_chrome_trace(const std::string& path, const Tracer& tracer,

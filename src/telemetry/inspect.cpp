@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,7 +10,7 @@
 #include <vector>
 
 #include "int/collector.hpp"
-#include "telemetry/metrics.hpp"  // json_escape
+#include "telemetry/chrome_trace.hpp"
 #include "util/check.hpp"
 
 namespace mantis::telemetry {
@@ -93,38 +91,15 @@ std::string mfr_reaction_text(const MfrDump& dump, std::uint64_t reaction_id) {
 }
 
 std::string mfr_chrome_json(const MfrDump& dump) {
-  // Bespoke emitter: chrome_trace_json renders a live Tracer whose event
-  // names are static strings; dump events own std::strings, so we serialize
-  // directly here rather than round-tripping through TraceEvent.
-  std::ostringstream out;
-  out << "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [";
-  bool first = true;
-  auto emit_sep = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
-
+  ChromeTraceWriter out;
   // One lane per event kind.
   const FlightEvent::Kind kinds[] = {
       FlightEvent::Kind::kReaction,  FlightEvent::Kind::kMalleable,
       FlightEvent::Kind::kDriverOp,  FlightEvent::Kind::kFault,
       FlightEvent::Kind::kAnomaly,   FlightEvent::Kind::kIntReport};
   for (const auto kind : kinds) {
-    emit_sep();
-    out << R"({"ph": "M", "pid": 0, "tid": )"
-        << static_cast<unsigned>(static_cast<std::uint8_t>(kind))
-        << R"(, "name": "thread_name", "args": {"name": ")"
-        << flight_kind_name(kind) << "\"}}";
+    out.lane(static_cast<std::uint8_t>(kind), flight_kind_name(kind));
   }
-
-  // Virtual ns -> trace microseconds; the fraction keeps all three digits.
-  auto ts_us = [](Time t) {
-    std::ostringstream s;
-    s << (t / 1000) << "." << std::setw(3) << std::setfill('0')
-      << (t % 1000 < 0 ? -(t % 1000) : t % 1000);
-    return s.str();
-  };
 
   // Track flow endpoints so each reaction renders as one arc: flow start at
   // its first event, flow end at its last (single-event reactions get none).
@@ -138,33 +113,33 @@ std::string mfr_chrome_json(const MfrDump& dump) {
 
   for (std::size_t i = 0; i < dump.events.size(); ++i) {
     const auto& ev = dump.events[i];
-    const unsigned tid =
-        static_cast<unsigned>(static_cast<std::uint8_t>(ev.kind));
-    emit_sep();
-    out << "{\"name\": \"" << json_escape(ev.name)
-        << "\", \"cat\": \"mfr\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, "
-        << "\"tid\": " << tid << ", \"ts\": " << ts_us(ev.t)
-        << ", \"args\": {\"seq\": " << ev.seq
-        << ", \"reaction_id\": " << ev.reaction_id
-        << ", \"value\": " << ev.value << ", \"detail\": \""
-        << json_escape(ev.detail) << "\"}}";
+    const unsigned tid = static_cast<std::uint8_t>(ev.kind);
+    JsonWriter& w = out.begin_event(ev.name, "mfr", "i");
+    w.field("s", "t");
+    w.field("pid", 0).field("tid", tid);
+    out.time("ts", ev.t);
+    w.key("args").begin_object(JsonWriter::Layout::kInline);
+    w.field("seq", ev.seq);
+    w.field("reaction_id", ev.reaction_id);
+    w.field("value", ev.value);
+    w.field("detail", ev.detail);
+    w.end_object();
+    out.end_event();
     if (ev.reaction_id != 0) {
       const auto span = flow_span.at(ev.reaction_id);
       if (span.first != span.second) {
         const char* ph =
             i == span.first ? "s" : (i == span.second ? "f" : "t");
-        emit_sep();
-        out << "{\"name\": \"reaction\", \"cat\": \"mfr\", \"ph\": \"" << ph
-            << "\", \"pid\": 0, \"tid\": " << tid << ", \"ts\": " << ts_us(ev.t)
-            << ", \"id\": " << ev.reaction_id;
-        if (*ph == 'f') out << ", \"bp\": \"e\"";
-        out << "}";
+        out.begin_event("reaction", "mfr", ph);
+        w.field("pid", 0).field("tid", tid);
+        out.time("ts", ev.t);
+        w.field("id", ev.reaction_id);
+        if (*ph == 'f') w.field("bp", "e");
+        out.end_event();
       }
     }
   }
-
-  out << "\n]\n}\n";
-  return out.str();
+  return out.take();
 }
 
 std::string mfr_int_text(const MfrDump& dump) {
@@ -241,203 +216,9 @@ std::string mfr_channel_text(const MfrDump& dump) {
 }
 
 // ---------------------------------------------------------------------------
-// prof: render a mantis-prof/1 JSON report (the repo's JSON layer is
-// writer-only, so this carries its own minimal reader — enough for the
-// reports our own writers emit).
+// prof: render a mantis-prof/1 JSON report
 
 namespace {
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> items;                          // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject, in order
-
-  const JsonValue* find(const std::string& key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double num_or(const std::string& key, double dflt = 0) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->type == Type::kNumber ? v->number : dflt;
-  }
-  std::string str_or(const std::string& key) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->type == Type::kString ? v->str : std::string();
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing content");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw UserError("prof: malformed JSON at byte " + std::to_string(pos_) +
-                    ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string_value();
-      case 't': return literal("true", JsonValue::Type::kBool, true);
-      case 'f': return literal("false", JsonValue::Type::kBool, false);
-      case 'n': return literal("null", JsonValue::Type::kNull, false);
-      default: return number_value();
-    }
-  }
-
-  JsonValue literal(const char* word, JsonValue::Type t, bool b) {
-    const std::size_t len = std::strlen(word);
-    if (s_.compare(pos_, len, word) != 0) fail("bad literal");
-    pos_ += len;
-    JsonValue v;
-    v.type = t;
-    v.boolean = b;
-    return v;
-  }
-
-  JsonValue number_value() {
-    const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(begin, &end);
-    if (end == begin) fail("bad number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') break;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          // Our writers only escape ASCII control bytes; decode the BMP
-          // code point as a single byte when it fits, '?' otherwise.
-          if (pos_ + 4 > s_.size()) fail("short \\u escape");
-          const unsigned long cp =
-              std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          out.push_back(cp < 0x80 ? static_cast<char>(cp) : '?');
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    return out;
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    v.str = string_body();
-    return v;
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string_body();
-      skip_ws();
-      expect(':');
-      v.members.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 std::string fmt_ms(double ns) {
   char buf[64];
@@ -454,7 +235,7 @@ std::string fmt_pct(double num, double denom) {
 }  // namespace
 
 std::string prof_report_text(const std::string& json) {
-  const JsonValue root = JsonReader(json).parse();
+  const JsonValue root = parse_json(json);
   // Accept both a bare ProfileReport and a bench report embedding one.
   const JsonValue* prof = &root;
   if (root.str_or("schema").rfind("mantis-prof/", 0) != 0) {

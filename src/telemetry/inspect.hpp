@@ -1,6 +1,8 @@
 // Query/rendering helpers over parsed .mfr flight-recorder dumps, shared by
 // the tools/p4r_inspect CLI and the tests. All output is deterministic
-// (derived from the dump content only).
+// (derived from the dump content only). JSON goes out through the shared
+// Chrome trace writer (telemetry/chrome_trace.hpp) and comes in through
+// util/json's parse_json.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,8 @@ std::string mfr_diff_text(const MfrDump& dump, Time t1, Time t2);
 std::string mfr_reaction_text(const MfrDump& dump, std::uint64_t reaction_id);
 
 /// Chrome-trace JSON rendering of the dump's events (instants on per-kind
-/// lanes, flow arcs per reaction id) for chrome://tracing / Perfetto.
+/// lanes, flow arcs per reaction id) for chrome://tracing / Perfetto. Each
+/// event sits at its exact virtual time (1005 ns is "ts": 1.005).
 std::string mfr_chrome_json(const MfrDump& dump);
 
 /// Pretty-prints the dump's sampled INT sink reports (kind int_report),

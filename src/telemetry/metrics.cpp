@@ -4,34 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
+#include "telemetry/prof/prof.hpp"
 #include "util/check.hpp"
 
 namespace mantis::telemetry {
 
 namespace {
-
-/// Shortest round-trippable rendering; integers print without a fraction.
-std::string fmt_double(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "0";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest form that still round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[64];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) return probe;
-  }
-  return buf;
-}
 
 std::string quantile_key(double q) {
   // 0.5 -> "p50", 0.99 -> "p99", 0.999 -> "p99.9"
@@ -264,112 +244,69 @@ int MetricsRegistry::group_parts_width(int groups) {
 }
 
 std::string MetricsRegistry::snapshot_json() const {
+  JsonWriter w;
+  write_json(w);
+  return w.take();
+}
+
+void MetricsRegistry::write_json(JsonWriter& w) const {
+  constexpr auto kInline = JsonWriter::Layout::kInline;
   const std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{";
-  bool first = true;
+  w.begin_object();
   for (const auto& [name, e] : metrics_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n  \"" << json_escape(name) << "\": ";
+    w.key(name).begin_object(kInline);
     if (e.counter) {
-      out << "{\"type\": \"counter\", \"value\": " << e.counter->value() << "}";
+      w.field("type", "counter").field("value", e.counter->value());
     } else if (e.gauge) {
-      out << "{\"type\": \"gauge\", \"value\": " << fmt_double(e.gauge->value())
-          << "}";
+      w.field("type", "gauge").field("value", e.gauge->value());
     } else {
       const Histogram& h = *e.histogram;
       const HistogramStats st = h.stats();
-      out << "{\"type\": \"histogram\", \"count\": " << st.n;
+      w.field("type", "histogram").field("count", st.n);
       if (st.n > 0) {
-        out << ", \"mean\": " << fmt_double(st.mean())
-            << ", \"min\": " << fmt_double(st.min())
-            << ", \"max\": " << fmt_double(st.max());
+        w.field("mean", st.mean()).field("min", st.min());
+        w.field("max", st.max());
         for (const double q : Histogram::kExportQuantiles) {
-          out << ", \"" << quantile_key(q)
-              << "\": " << fmt_double(h.quantile(q));
+          w.field(quantile_key(q), h.quantile(q));
         }
-        out << ", \"buckets\": [";
-        bool bfirst = true;
+        w.key("buckets").begin_array(kInline);
         for (std::size_t i = 0; i <= h.buckets(); ++i) {
           if (h.bucket_count(i) == 0) continue;  // sparse: zeros add no info
-          if (!bfirst) out << ", ";
-          bfirst = false;
-          out << "[";
+          w.begin_array(kInline);
           if (i < h.buckets()) {
-            out << fmt_double(h.bucket_upper_bound(i));
+            w.value(h.bucket_upper_bound(i));
           } else {
-            out << "\"inf\"";
+            w.value("inf");
           }
-          out << ", " << h.bucket_count(i) << "]";
+          w.value(h.bucket_count(i));
+          w.end_array();
         }
-        out << "]";
+        w.end_array();
       }
-      out << "}";
     }
+    w.end_object();
   }
-  out << (first ? "}" : "\n}");
-  return out.str();
+  w.end_object();
 }
 
 // ---------------------------------------------------------------------------
 // Report schema
 // ---------------------------------------------------------------------------
 
-void ReportParams::set(const std::string& key, const std::string& value) {
-  kv_.emplace_back(key, "\"" + json_escape(value) + "\"");
-}
-
-void ReportParams::set(const std::string& key, std::int64_t value) {
-  kv_.emplace_back(key, std::to_string(value));
-}
-
-void ReportParams::set(const std::string& key, double value) {
-  kv_.emplace_back(key, fmt_double(value));
-}
-
-std::string report_json(const std::string& bench, const ReportParams& params,
-                        const MetricsRegistry& metrics) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"" << json_escape(bench) << "\",\n  \"params\": {";
-  bool first = true;
-  for (const auto& [k, v] : params.raw()) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"" << json_escape(k) << "\": " << v;
-  }
-  out << (params.raw().empty() ? "" : "\n  ") << "},\n  \"metrics\": ";
-  // Indent the nested snapshot to keep the file readable.
-  const std::string snap = metrics.snapshot_json();
-  for (const char c : snap) {
-    out << c;
-    if (c == '\n') out << "  ";
-  }
-  out << "\n}\n";
-  return out.str();
-}
-
 std::string report_json(const std::string& bench, const ReportParams& params,
                         const MetricsRegistry& metrics,
-                        const std::string& prof_json) {
-  if (prof_json.empty()) return report_json(bench, params, metrics);
-  std::string base = report_json(bench, params, metrics);
-  // Splice a "prof" section (a pre-rendered JSON object) before the closing
-  // brace, indenting it one level.
-  const auto close = base.rfind("\n}\n");
-  expects(close != std::string::npos, "report_json: malformed base report");
-  std::ostringstream out;
-  out << base.substr(0, close) << ",\n  \"prof\": ";
-  std::string trimmed = prof_json;
-  while (!trimmed.empty() && (trimmed.back() == '\n' || trimmed.back() == ' ')) {
-    trimmed.pop_back();
+                        const prof::ProfileReport* prof) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("bench", bench).key("params").begin_object();
+  for (const auto& [k, v] : params.values()) {
+    std::visit([&w, &k](const auto& x) { w.field(k, x); }, v);
   }
-  for (const char c : trimmed) {
-    out << c;
-    if (c == '\n') out << "  ";
-  }
-  out << "\n}\n";
-  return out.str();
+  w.end_object();
+  metrics.write_json(w.key("metrics"));
+  if (prof != nullptr) prof->write_json(w.key("prof"));
+  w.end_object();
+  return w.take() + "\n";
 }
 
 void write_text_file(const std::string& path, const std::string& content) {
@@ -378,29 +315,6 @@ void write_text_file(const std::string& path, const std::string& content) {
   out << content;
   out.flush();
   if (!out) throw UserError("write failed: " + path);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace mantis::telemetry

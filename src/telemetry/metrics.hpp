@@ -23,13 +23,19 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "telemetry/shard_lane.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace mantis::telemetry {
+
+namespace prof {
+struct ProfileReport;
+}  // namespace prof
 
 /// Monotonically increasing event count. Additions are relaxed atomics:
 /// sums are order-independent, so counters stay deterministic under the
@@ -275,6 +281,8 @@ class MetricsRegistry {
   ///                  "max":...,"p50":...,...,"buckets":[[le,count],...]}
   /// Deterministic (name-sorted), 2-space indent.
   std::string snapshot_json() const;
+  /// Writes the snapshot object as the next value of `w`.
+  void write_json(JsonWriter& w) const;
 
  private:
   struct Entry {
@@ -294,31 +302,25 @@ class MetricsRegistry {
 /// "metrics":<registry snapshot>}. Params are emitted in insertion order.
 class ReportParams {
  public:
-  void set(const std::string& key, const std::string& value);
-  void set(const std::string& key, std::int64_t value);
-  void set(const std::string& key, double value);
-  const std::vector<std::pair<std::string, std::string>>& raw() const {
-    return kv_;  // values pre-rendered as JSON literals
+  using Value = std::variant<std::string, std::int64_t, double>;
+  void set(const std::string& key, Value value) {
+    kv_.emplace_back(key, std::move(value));
+  }
+  const std::vector<std::pair<std::string, Value>>& values() const {
+    return kv_;
   }
 
  private:
-  std::vector<std::pair<std::string, std::string>> kv_;
+  std::vector<std::pair<std::string, Value>> kv_;
 };
 
-std::string report_json(const std::string& bench, const ReportParams& params,
-                        const MetricsRegistry& metrics);
-
-/// Report with an embedded hot-path profile: `prof_json` is a pre-rendered
-/// JSON object (prof::ProfileReport::to_json()), spliced in as the "prof"
-/// key. Empty `prof_json` degenerates to the plain report.
+/// The report; a non-null `prof` is embedded as its "prof" section
+/// (prof::ProfileReport::to_json()).
 std::string report_json(const std::string& bench, const ReportParams& params,
                         const MetricsRegistry& metrics,
-                        const std::string& prof_json);
+                        const prof::ProfileReport* prof = nullptr);
 
 /// Writes `content` to `path`; throws UserError on I/O failure.
 void write_text_file(const std::string& path, const std::string& content);
-
-/// Escapes a string for embedding in a JSON string literal (no quotes).
-std::string json_escape(const std::string& s);
 
 }  // namespace mantis::telemetry

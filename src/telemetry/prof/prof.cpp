@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <sstream>
 
-#include "telemetry/metrics.hpp"  // json_escape
 #include "util/check.hpp"
 
 namespace mantis::telemetry::prof {
@@ -333,92 +330,76 @@ ProfileReport Profiler::report() const {
 // ---------------------------------------------------------------------------
 // Rendering.
 
-namespace {
-
-std::string fmt_ratio(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
+std::string ProfileReport::to_json() const {
+  JsonWriter w;
+  write_json(w);
+  return w.take() + "\n";
 }
 
-}  // namespace
+void ProfileReport::write_json(JsonWriter& w) const {
+  constexpr auto kInline = JsonWriter::Layout::kInline;
+  constexpr int kRatioPlaces = 4;
+  w.begin_object();
+  w.field("schema", "mantis-prof/1").field("compiled", compiled);
+  w.field("enabled", enabled).field("events", events);
+  w.field("wall_ns", wall_ns).field("event_allocs", event_allocs);
+  w.field("allocs_per_event", allocs_per_event(), kRatioPlaces);
+  w.field("lifetime_allocs", lifetime_allocs);
+  w.field("lifetime_frees", lifetime_frees);
 
-std::string ProfileReport::to_json() const {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema\": \"mantis-prof/1\",\n";
-  out << "  \"compiled\": " << (compiled ? "true" : "false") << ",\n";
-  out << "  \"enabled\": " << (enabled ? "true" : "false") << ",\n";
-  out << "  \"events\": " << events << ",\n";
-  out << "  \"wall_ns\": " << wall_ns << ",\n";
-  out << "  \"event_allocs\": " << event_allocs << ",\n";
-  out << "  \"allocs_per_event\": " << fmt_ratio(allocs_per_event()) << ",\n";
-  out << "  \"lifetime_allocs\": " << lifetime_allocs << ",\n";
-  out << "  \"lifetime_frees\": " << lifetime_frees << ",\n";
-
-  out << "  \"kinds\": {";
-  bool first = true;
+  w.key("kinds").begin_object();
   for (std::size_t i = 0; i < kNumKinds; ++i) {
     const KindStats& k = kinds[i];
     if (k.count == 0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"" << kind_name(static_cast<EventKind>(i))
-        << "\": {\"count\": " << k.count << ", \"self_ns\": " << k.self_ns
-        << ", \"allocs\": " << k.allocs << "}";
+    w.key(kind_name(static_cast<EventKind>(i))).begin_object(kInline);
+    w.field("count", k.count).field("self_ns", k.self_ns);
+    w.field("allocs", k.allocs).end_object();
   }
-  out << (first ? "" : "\n  ") << "},\n";
+  w.end_object();
 
-  out << "  \"sites\": [";
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const SiteStats& s = sites[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << json_escape(s.name) << "\", \"kind\": \""
-        << kind_name(s.kind) << "\", \"count\": " << s.count
-        << ", \"self_ns\": " << s.self_ns << ", \"allocs\": " << s.allocs
-        << "}";
+  w.key("sites").begin_array();
+  for (const SiteStats& s : sites) {
+    w.begin_object(kInline);
+    w.field("name", s.name).field("kind", kind_name(s.kind));
+    w.field("count", s.count).field("self_ns", s.self_ns);
+    w.field("allocs", s.allocs).end_object();
   }
-  out << (sites.empty() ? "" : "\n  ") << "],\n";
+  w.end_array();
 
-  out << "  \"heap\": {\"pushes\": " << heap.pushes
-      << ", \"pops\": " << heap.pops << ", \"peak_depth\": " << heap.peak_depth
-      << ", \"local_pushes\": " << heap.local_pushes
-      << ", \"outbox_pushes\": " << heap.outbox_pushes << "},\n";
+  w.key("heap").begin_object(kInline);
+  w.field("pushes", heap.pushes).field("pops", heap.pops);
+  w.field("peak_depth", heap.peak_depth);
+  w.field("local_pushes", heap.local_pushes);
+  w.field("outbox_pushes", heap.outbox_pushes).end_object();
 
-  out << "  \"shards\": {\"count\": " << rounds.shard_count
-      << ", \"rounds\": " << rounds.rounds
-      << ", \"barrier_stall_ns\": " << rounds.barrier_stall_ns
-      << ", \"idle_shard_rounds\": " << rounds.idle_shard_rounds
-      << ", \"imbalance\": " << fmt_ratio(rounds.imbalance())
-      << ", \"per_shard\": [";
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardStats& s = shards[i];
-    out << (i == 0 ? "" : ", ");
-    out << "{\"events\": " << s.events << ", \"wall_ns\": " << s.wall_ns
-        << ", \"allocs\": " << s.allocs << "}";
+  w.key("shards").begin_object(kInline);
+  w.field("count", rounds.shard_count).field("rounds", rounds.rounds);
+  w.field("barrier_stall_ns", rounds.barrier_stall_ns);
+  w.field("idle_shard_rounds", rounds.idle_shard_rounds);
+  w.field("imbalance", rounds.imbalance(), kRatioPlaces);
+  w.key("per_shard").begin_array(kInline);
+  for (const ShardStats& s : shards) {
+    w.begin_object(kInline);
+    w.field("events", s.events).field("wall_ns", s.wall_ns);
+    w.field("allocs", s.allocs).end_object();
   }
-  out << "]},\n";
+  w.end_array();
+  w.end_object();
 
-  out << "  \"samples\": [";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"vt\": " << s.vt << ", \"events\": " << s.events
-        << ", \"kind_self_ns\": {";
-    bool f2 = true;
+  w.key("samples").begin_array();
+  for (const Sample& s : samples) {
+    w.begin_object(kInline);
+    w.field("vt", s.vt).field("events", s.events);
+    w.key("kind_self_ns").begin_object(kInline);
     for (std::size_t k = 0; k < kNumKinds; ++k) {
       if (s.kind_self_ns[k] == 0) continue;
-      if (!f2) out << ", ";
-      f2 = false;
-      out << "\"" << kind_name(static_cast<EventKind>(k))
-          << "\": " << s.kind_self_ns[k];
+      w.field(kind_name(static_cast<EventKind>(k)), s.kind_self_ns[k]);
     }
-    out << "}}";
+    w.end_object();
+    w.end_object();
   }
-  out << (samples.empty() ? "" : "\n  ") << "]\n";
-  out << "}\n";
-  return out.str();
+  w.end_array();
+  w.end_object();
 }
 
 std::string ProfileReport::to_folded() const {

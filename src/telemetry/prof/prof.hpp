@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "telemetry/prof/alloc_hook.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace mantis::telemetry::prof {
@@ -148,9 +149,11 @@ struct ProfileReport {
                              static_cast<double>(events);
   }
 
-  /// {"schema": "mantis-prof/1", ...} — embeddable as the "prof" section of
-  /// a bench report (telemetry::report_json overload).
+  /// {"schema": "mantis-prof/1", ...}, newline-terminated.
   std::string to_json() const;
+  /// Writes the to_json object as the next value of `w` (the "prof" section
+  /// of a bench report, telemetry::report_json).
+  void write_json(JsonWriter& w) const;
   /// Brendan Gregg folded-stack format: "root;child;leaf <self_ns>\n".
   std::string to_folded() const;
 };

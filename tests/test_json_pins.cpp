@@ -127,9 +127,9 @@ TEST(JsonPins, ReportWithParams) {
 TEST(JsonPins, ReportWithProfile) {
   telemetry::MetricsRegistry reg;
   fill_registry(reg);
+  const auto profile = sample_profile();
   expect_golden("report_prof.json",
-                telemetry::report_json("pin", {}, reg,
-                                       sample_profile().to_json()));
+                telemetry::report_json("pin", {}, reg, &profile));
 }
 
 TEST(JsonPins, ProfileReport) {
@@ -192,8 +192,8 @@ TEST(JsonPins, MfrChromeExport) {
 }
 
 TEST(JsonPins, Figure1Program) {
-  const auto art = compile::compile_source(
-      slurp(std::string(MANTIS_TEST_DATA_DIR) + "/../examples/p4r/figure1.p4r"));
+  const auto art = compile::compile_source(slurp(
+      std::string(MANTIS_TEST_DATA_DIR) + "/../examples/p4r/figure1.p4r"));
   expect_golden("figure1.json", p4::emit_json(art.prog));
 }
 

@@ -5,6 +5,7 @@
 
 #include "compile/compiler.hpp"
 #include "p4/json.hpp"
+#include "util/json.hpp"
 #include "workload/trace_io.hpp"
 
 namespace mantis {
@@ -24,30 +25,59 @@ reaction rx(ing h.a) { ${knob} = 1; }
 )P4R");
   const auto json = p4::emit_json(art.prog);
 
-  // Structural landmarks.
-  EXPECT_NE(json.find("\"program\""), std::string::npos);
-  EXPECT_NE(json.find("\"header_types\""), std::string::npos);
-  EXPECT_NE(json.find("\"p4r_meta_t_\""), std::string::npos);
-  EXPECT_NE(json.find("\"match_type\": \"lpm\""), std::string::npos);
-  EXPECT_NE(json.find("\"op\": \"if\""), std::string::npos);
-  EXPECT_NE(json.find("\"relation\": \">\""), std::string::npos);
-  EXPECT_NE(json.find("\"p4r_meas_rx_ing_0_\""), std::string::npos);
-  EXPECT_NE(json.find("\"default_action\""), std::string::npos);
-
-  // Balanced braces/brackets (cheap well-formedness check).
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-    ASSERT_GE(braces, 0);
-    ASSERT_GE(brackets, 0);
+  // The util reader parses the document back to the values written.
+  const JsonValue root = parse_json(json);
+  EXPECT_EQ(root.str_or("target"), "mantis-rmt-sim");
+  const JsonValue* tables = root.find("tables");
+  ASSERT_NE(tables, nullptr);
+  const JsonValue* t = nullptr;
+  const JsonValue* t2 = nullptr;
+  for (const auto& tbl : tables->items) {
+    if (tbl.str_or("name") == "t") t = &tbl;
+    if (tbl.str_or("name") == "t2") t2 = &tbl;
   }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  ASSERT_NE(t, nullptr);
+  ASSERT_NE(t2, nullptr);
+  EXPECT_EQ(t->num_or("max_size"), 32);
+  EXPECT_EQ(t2->num_or("max_size"), 4);
+  ASSERT_EQ(t->find("key")->items.size(), 1u);
+  EXPECT_EQ(t->find("key")->items[0].str_or("match_type"), "lpm");
+  EXPECT_EQ(t->find("key")->items[0].str_or("target"), "h.a");
+  const JsonValue* dflt = t->find("default_action");
+  ASSERT_NE(dflt, nullptr);
+  EXPECT_EQ(dflt->str_or("name"), "bump");
+  ASSERT_EQ(dflt->find("args")->items.size(), 1u);
+  EXPECT_EQ(dflt->find("args")->items[0].number, 1);
+
+  bool saw_meta_type = false;
+  for (const auto& ht : root.find("header_types")->items) {
+    saw_meta_type |= ht.str_or("name") == "p4r_meta_t_";
+  }
+  EXPECT_TRUE(saw_meta_type);
+  bool saw_meas_register = false;
+  for (const auto& reg : root.find("registers")->items) {
+    saw_meas_register |= reg.str_or("name") == "p4r_meas_rx_ing_0_";
+  }
+  EXPECT_TRUE(saw_meas_register);
+
+  // ingress applies t, then if (h.b > 5) applies t2.
+  const JsonValue& ingress = root.find("pipelines")->items.at(0);
+  EXPECT_EQ(ingress.str_or("name"), "ingress");
+  const JsonValue* apply_t = nullptr;
+  const JsonValue* branch = nullptr;
+  for (const auto& node : ingress.find("control")->items) {
+    if (node.str_or("table") == "t") apply_t = &node;
+    if (node.str_or("op") == "if") branch = &node;
+  }
+  ASSERT_NE(apply_t, nullptr);
+  EXPECT_EQ(apply_t->str_or("op"), "apply");
+  ASSERT_NE(branch, nullptr);
+  EXPECT_EQ(branch->str_or("relation"), ">");
+  EXPECT_EQ(branch->find("left")->str_or("value"), "h.b");
+  EXPECT_EQ(branch->find("right")->num_or("value"), 5);
+  ASSERT_EQ(branch->find("then")->items.size(), 1u);
+  EXPECT_EQ(branch->find("then")->items[0].str_or("table"), "t2");
+  EXPECT_TRUE(branch->find("else")->items.empty());
 }
 
 TEST(JsonEmit, EscapesSpecialCharacters) {
@@ -55,6 +85,7 @@ TEST(JsonEmit, EscapesSpecialCharacters) {
   prog.name = "with\"quote\\and\nnewline";
   const auto json = p4::emit_json(prog);
   EXPECT_NE(json.find("with\\\"quote\\\\and\\nnewline"), std::string::npos);
+  EXPECT_EQ(parse_json(json).str_or("program"), prog.name);
 }
 
 TEST(TraceIo, RoundTripsExactly) {

@@ -17,6 +17,7 @@
 #include "telemetry/shard_lane.hpp"
 #include "telemetry/trace.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace mantis {
@@ -28,24 +29,6 @@ using telemetry::MetricsRegistry;
 using telemetry::TraceEvent;
 using telemetry::Tracer;
 using telemetry::Track;
-
-// Cheap well-formedness: braces/brackets balance outside string literals.
-void expect_balanced_json(const std::string& json) {
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-    ASSERT_GE(braces, 0);
-    ASSERT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_FALSE(in_string);
-}
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -171,21 +154,32 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   reg.gauge("b.depth").set(3.25);
   auto& h = reg.histogram("c.latency_ns");
   for (int i = 0; i < 100; ++i) h.record(1000 * i);
-  const auto json = reg.snapshot_json();
-  expect_balanced_json(json);
-  EXPECT_NE(json.find("\"a.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  // The util reader parses both documents back to the values written.
+  const JsonValue snap = parse_json(reg.snapshot_json());
+  EXPECT_EQ(snap.find("a.count")->str_or("type"), "counter");
+  EXPECT_EQ(snap.find("a.count")->num_or("value"), 7);
+  EXPECT_EQ(snap.find("b.depth")->str_or("type"), "gauge");
+  EXPECT_EQ(snap.find("b.depth")->num_or("value"), 3.25);
+  const JsonValue* lat = snap.find("c.latency_ns");
+  EXPECT_EQ(lat->num_or("count"), 100);
+  EXPECT_EQ(lat->num_or("mean"), 49500);
+  EXPECT_EQ(lat->num_or("max"), 99000);
+  EXPECT_EQ(lat->num_or("p99"), h.quantile(0.99));
+  double bucketed = 0;
+  for (const auto& b : lat->find("buckets")->items) {
+    bucketed += b.items[1].number;
+  }
+  EXPECT_EQ(bucketed, 100);
 
   telemetry::ReportParams params;
   params.set("trials", std::int64_t{16});
   params.set("label", "a \"quoted\" name");
-  const auto report = telemetry::report_json("unit_test", params, reg);
-  expect_balanced_json(report);
-  EXPECT_NE(report.find("\"bench\": \"unit_test\""), std::string::npos);
-  EXPECT_NE(report.find("\"trials\": 16"), std::string::npos);
-  EXPECT_NE(report.find("a \\\"quoted\\\" name"), std::string::npos);
+  const JsonValue report =
+      parse_json(telemetry::report_json("unit_test", params, reg));
+  EXPECT_EQ(report.str_or("bench"), "unit_test");
+  EXPECT_EQ(report.find("params")->num_or("trials"), 16);
+  EXPECT_EQ(report.find("params")->str_or("label"), "a \"quoted\" name");
+  EXPECT_EQ(report.find("metrics")->find("a.count")->num_or("value"), 7);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,7 +472,12 @@ TEST(ChromeTrace, EmitsWellFormedJsonWithTrackNames) {
   t.complete("span \"a\"", "cat", Track::kAgent, 1000, 3500, "n", 4);
   t.instant("mark", "cat", Track::kTrafficManager, 2000);
   const auto json = telemetry::chrome_trace_json(t);
-  expect_balanced_json(json);
+  const JsonValue doc = parse_json(json);
+  EXPECT_EQ(doc.str_or("displayTimeUnit"), "ns");
+  const auto& evs = doc.find("traceEvents")->items;
+  ASSERT_FALSE(evs.empty());
+  EXPECT_EQ(evs.back().str_or("name"), "mark");
+  EXPECT_EQ(evs.back().num_or("ts"), 2.0);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"agent\""), std::string::npos);
@@ -499,7 +498,11 @@ TEST(ChromeTrace, FlowEventsExportWithSharedIdAndBindingPoint) {
          2000, 42);
   t.flow(TraceEvent::Phase::kFlowEnd, "rx", "prov", Track::kSwitch, 3000, 42);
   const auto json = telemetry::chrome_trace_json(t);
-  expect_balanced_json(json);
+  for (const auto& e : parse_json(json).find("traceEvents")->items) {
+    if (e.str_or("cat") == "prov") {
+      EXPECT_EQ(e.num_or("id"), 42);
+    }
+  }
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"t\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
@@ -517,7 +520,8 @@ TEST(ChromeTrace, DanglingFlowStartStaysWellFormed) {
   t.flow(TraceEvent::Phase::kFlowStep, "rx", "prov", Track::kDriverChannel,
          200, 7);
   const auto json = telemetry::chrome_trace_json(t);
-  expect_balanced_json(json);
+  EXPECT_EQ(parse_json(json).find("traceEvents")->items.back().str_or("ph"),
+            "t");
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\": \"f\""), std::string::npos);
 
@@ -525,7 +529,11 @@ TEST(ChromeTrace, DanglingFlowStartStaysWellFormed) {
   Tracer t2;
   t2.set_enabled(true);
   t2.flow(TraceEvent::Phase::kFlowEnd, "rx", "prov", Track::kSwitch, 300, 8);
-  expect_balanced_json(telemetry::chrome_trace_json(t2));
+  EXPECT_EQ(parse_json(telemetry::chrome_trace_json(t2))
+                .find("traceEvents")
+                ->items.back()
+                .str_or("ph"),
+            "f");
 }
 
 // ---------------------------------------------------------------------------
@@ -610,11 +618,15 @@ TEST(TelemetryIntegration, MetricsSnapshotExportsDialogueLatency) {
   test::Stack stack(test::figure1_style_source());
   stack.agent->run_prologue();
   stack.agent->run_dialogue(3);
-  const auto json = stack.loop.telemetry().metrics().snapshot_json();
-  expect_balanced_json(json);
-  EXPECT_NE(json.find("\"agent.dialogue.iteration_ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(json.find("\"driver.channel.occupancy_ns\""), std::string::npos);
+  const auto& m = stack.loop.telemetry().metrics();
+  const JsonValue snap = parse_json(m.snapshot_json());
+  const JsonValue* iter = snap.find("agent.dialogue.iteration_ns");
+  ASSERT_NE(iter, nullptr);
+  EXPECT_EQ(iter->num_or("count"), 3);
+  EXPECT_EQ(iter->num_or("p50"),
+            m.find_histogram("agent.dialogue.iteration_ns")->quantile(0.5));
+  EXPECT_EQ(snap.find("driver.channel.occupancy_ns")->str_or("type"),
+            "histogram");
 }
 
 }  // namespace
