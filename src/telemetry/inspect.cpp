@@ -232,6 +232,16 @@ std::string fmt_pct(double num, double denom) {
   return buf;
 }
 
+/// Field `name` of `obj` as a count. A count the report cannot hold (not
+/// finite, negative, or 2^64 and above) is a UserError naming the field.
+std::uint64_t count(const JsonValue& obj, const char* name) {
+  const double v = obj.num_or(name);
+  if (!(v >= 0 && v < 18446744073709551616.0)) {
+    throw UserError(std::string("prof: \"") + name + "\" is not a count");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 }  // namespace
 
 std::string prof_report_text(const std::string& json) {
@@ -261,7 +271,7 @@ std::string prof_report_text(const std::string& json) {
              ? "yes"
              : "no")
      << "\n";
-  os << "events=" << static_cast<std::uint64_t>(events)
+  os << "events=" << count(*prof, "events")
      << " attributed_wall=" << fmt_ms(wall_ns) << "ms";
   if (wall_ns > 0) {
     char buf[64];
@@ -269,11 +279,11 @@ std::string prof_report_text(const std::string& json) {
     os << " (" << buf << " Mev/s through instrumented scopes)";
   }
   os << "\n";
-  os << "allocs: " << static_cast<std::uint64_t>(prof->num_or("event_allocs"))
+  os << "allocs: " << count(*prof, "event_allocs")
      << " inside events (" << prof->num_or("allocs_per_event")
      << " per event), lifetime new/delete "
-     << static_cast<std::uint64_t>(prof->num_or("lifetime_allocs")) << "/"
-     << static_cast<std::uint64_t>(prof->num_or("lifetime_frees")) << "\n";
+     << count(*prof, "lifetime_allocs") << "/"
+     << count(*prof, "lifetime_frees") << "\n";
 
   const JsonValue* kinds = prof->find("kinds");
   if (kinds != nullptr && !kinds->members.empty()) {
@@ -289,8 +299,8 @@ std::string prof_report_text(const std::string& json) {
       std::snprintf(line, sizeof(line),
                     "  %-18s %10sms %s  count=%llu allocs=%llu\n", name.c_str(),
                     fmt_ms(self).c_str(), fmt_pct(self, wall_ns).c_str(),
-                    static_cast<unsigned long long>(k.num_or("count")),
-                    static_cast<unsigned long long>(k.num_or("allocs")));
+                    static_cast<unsigned long long>(count(k, "count")),
+                    static_cast<unsigned long long>(count(k, "allocs")));
       os << line;
     }
   }
@@ -310,7 +320,7 @@ std::string prof_report_text(const std::string& json) {
                     "  %-24s %10sms %s  count=%llu  [%s]\n",
                     s.str_or("name").c_str(), fmt_ms(s.num_or("self_ns")).c_str(),
                     fmt_pct(s.num_or("self_ns"), wall_ns).c_str(),
-                    static_cast<unsigned long long>(s.num_or("count")),
+                    static_cast<unsigned long long>(count(s, "count")),
                     s.str_or("kind").c_str());
       os << line;
     }
@@ -322,36 +332,38 @@ std::string prof_report_text(const std::string& json) {
   const JsonValue* heap = prof->find("heap");
   if (heap != nullptr) {
     os << "\nheap: pushes="
-       << static_cast<std::uint64_t>(heap->num_or("pushes"))
-       << " pops=" << static_cast<std::uint64_t>(heap->num_or("pops"))
+       << count(*heap, "pushes")
+       << " pops=" << count(*heap, "pops")
        << " peak_depth="
-       << static_cast<std::uint64_t>(heap->num_or("peak_depth"))
+       << count(*heap, "peak_depth")
        << " frame_local="
-       << static_cast<std::uint64_t>(heap->num_or("local_pushes"))
+       << count(*heap, "local_pushes")
        << " outbox="
-       << static_cast<std::uint64_t>(heap->num_or("outbox_pushes")) << "\n";
+       << count(*heap, "outbox_pushes") << "\n";
   }
 
   const JsonValue* shards = prof->find("shards");
   if (shards != nullptr && shards->num_or("count") > 0) {
     os << "\nshards: count="
-       << static_cast<std::uint64_t>(shards->num_or("count"))
-       << " rounds=" << static_cast<std::uint64_t>(shards->num_or("rounds"))
+       << count(*shards, "count")
+       << " rounds=" << count(*shards, "rounds")
        << " barrier_stall=" << fmt_ms(shards->num_or("barrier_stall_ns"))
        << "ms idle_shard_rounds="
-       << static_cast<std::uint64_t>(shards->num_or("idle_shard_rounds"))
+       << count(*shards, "idle_shard_rounds")
        << " imbalance=" << shards->num_or("imbalance") << "\n";
     const JsonValue* per = shards->find("per_shard");
     if (per != nullptr) {
-      double max_events = 0;
+      std::uint64_t max_events = 0;
       for (const auto& s : per->items) {
-        max_events = std::max(max_events, s.num_or("events"));
+        max_events = std::max(max_events, count(s, "events"));
       }
       for (std::size_t i = 0; i < per->items.size(); ++i) {
         const auto& s = per->items[i];
-        const double ev = s.num_or("events");
-        const int bar =
-            max_events > 0 ? static_cast<int>(ev * 32 / max_events) : 0;
+        const std::uint64_t ev = count(s, "events");
+        const int bar = max_events > 0
+                            ? static_cast<int>(static_cast<double>(ev) * 32 /
+                                               static_cast<double>(max_events))
+                            : 0;
         char line[200];
         std::snprintf(line, sizeof(line),
                       "  shard %-3zu %10llu ev %10sms  %s\n", i,

@@ -1,9 +1,9 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/check.hpp"
 
@@ -186,26 +186,7 @@ class JsonParser {
     JsonValue v;
     switch (s_[pos_]) {
       case '{':
-        ++pos_;
-        v.type = JsonValue::Type::kObject;
-        if (eat('}')) return v;
-        do {
-          skip_ws();
-          std::string key = string_body();
-          expect(':');
-          v.members.emplace_back(std::move(key), value());
-        } while (eat(','));
-        expect('}');
-        return v;
-      case '[':
-        ++pos_;
-        v.type = JsonValue::Type::kArray;
-        if (eat(']')) return v;
-        do {
-          v.items.push_back(value());
-        } while (eat(','));
-        expect(']');
-        return v;
+      case '[': return container();
       case '"':
         v.type = JsonValue::Type::kString;
         v.str = string_body();
@@ -217,6 +198,31 @@ class JsonParser {
     }
   }
 
+  JsonValue container() {
+    if (++depth_ > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
+    const bool object = s_[pos_++] == '{';
+    const char close = object ? '}' : ']';
+    JsonValue v;
+    v.type = object ? JsonValue::Type::kObject : JsonValue::Type::kArray;
+    if (!eat(close)) {
+      do {
+        if (object) {
+          skip_ws();
+          std::string key = string_body();
+          expect(':');
+          v.members.emplace_back(std::move(key), value());
+        } else {
+          v.items.push_back(value());
+        }
+      } while (eat(','));
+      expect(close);
+    }
+    --depth_;
+    return v;
+  }
+
   JsonValue word(std::string_view w, JsonValue::Type type, bool b) {
     if (s_.substr(pos_, w.size()) != w) fail("bad literal");
     pos_ += w.size();
@@ -226,14 +232,37 @@ class JsonParser {
     return v;
   }
 
+  /// Consumes a run of decimal digits; false when there is none.
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > from;
+  }
+
+  bool eat_any(std::string_view chars) {
+    if (pos_ >= s_.size() || chars.find(s_[pos_]) == chars.npos) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, read by std::from_chars
+  /// (locale-free, and it never sees "inf", hex or a leading '+').
   JsonValue number() {
-    const std::string tail(s_.substr(pos_, 64));
-    char* end = nullptr;
+    const std::size_t start = pos_;
+    eat_any("-");
+    if (!eat_any("0") && !digits()) fail("bad number");
+    if (eat_any(".") && !digits()) fail("bad number");
+    if (eat_any("eE")) {
+      eat_any("+-");
+      if (!digits()) fail("bad number");
+    }
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
-    v.number = std::strtod(tail.c_str(), &end);
-    if (end == tail.c_str()) fail("bad number");
-    pos_ += static_cast<std::size_t>(end - tail.c_str());
+    const char* first = s_.data() + start;
+    if (std::from_chars(first, s_.data() + pos_, v.number).ec != std::errc()) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return v;
   }
 
@@ -244,6 +273,7 @@ class JsonParser {
       if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("control byte in string");
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -260,9 +290,12 @@ class JsonParser {
         case 'u': {
           // The writer escapes only ASCII control bytes; decode the BMP
           // code point as a single byte when it fits, '?' otherwise.
-          if (pos_ + 4 > s_.size()) fail("short \\u escape");
-          const unsigned long cp = std::strtoul(
-              std::string(s_.substr(pos_, 4)).c_str(), nullptr, 16);
+          unsigned cp = 0;
+          const char* hex = s_.data() + pos_;
+          if (s_.size() - pos_ < 4 ||
+              std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4) {
+            fail("\\u escape without four hex digits");
+          }
           pos_ += 4;
           out.push_back(cp < 0x80 ? static_cast<char>(cp) : '?');
           break;
@@ -274,6 +307,7 @@ class JsonParser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -104,8 +104,13 @@ struct JsonValue {
   std::string str_or(std::string_view key) const;
 };
 
-/// Parses one JSON document. Throws UserError naming the byte offset on
-/// malformed text.
+/// Containers nest at most this deep in a parsed document, far beyond the
+/// deepest document the library writes.
+inline constexpr int kJsonMaxDepth = 512;
+
+/// Parses one RFC 8259 document. Throws UserError naming the byte offset
+/// on malformed text, nesting deeper than kJsonMaxDepth, or a number a
+/// double cannot hold.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace mantis

@@ -1,4 +1,5 @@
-// Tests for the JSON program emitter and trace file I/O.
+// Tests for the JSON program emitter, the util/json reader, and trace file
+// I/O.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -86,6 +87,67 @@ TEST(JsonEmit, EscapesSpecialCharacters) {
   const auto json = p4::emit_json(prog);
   EXPECT_NE(json.find("with\\\"quote\\\\and\\nnewline"), std::string::npos);
   EXPECT_EQ(parse_json(json).str_or("program"), prog.name);
+}
+
+// Expects parse_json to reject `text` with a UserError naming a byte offset.
+void expect_rejected(const std::string& text) {
+  try {
+    parse_json(text);
+    ADD_FAILURE() << "accepted: " << text.substr(0, 40);
+  } catch (const UserError& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParseJson, ReadsBackWhatTheWriterWrites) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("s", "q\"b\\n\n\t\x01").field("neg", std::int64_t{-7});
+  w.field("big", std::uint64_t{1} << 60).field("x", 0.1);
+  w.key("a").begin_array(JsonWriter::Layout::kInline);
+  w.value(true);
+  w.value(false);
+  w.begin_object();
+  w.end_object();
+  w.end_array();
+  w.end_object();
+  const JsonValue v = parse_json(w.take());
+  EXPECT_EQ(v.str_or("s"), "q\"b\\n\n\t\x01");
+  EXPECT_EQ(v.num_or("neg"), -7);
+  EXPECT_EQ(v.num_or("big"), static_cast<double>(std::uint64_t{1} << 60));
+  EXPECT_EQ(v.num_or("x"), 0.1);
+  const auto& a = v.find("a")->items;
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_TRUE(a[0].boolean);
+  EXPECT_EQ(a[1].type, JsonValue::Type::kBool);
+  EXPECT_EQ(a[2].type, JsonValue::Type::kObject);
+  EXPECT_EQ(parse_json("[1e2, -0.5E-1, 0, \"\\u0041\"]").items[3].str, "A");
+}
+
+TEST(ParseJson, RejectsNestingDeeperThanTheLimit) {
+  // Two million '[' once overflowed the parser's stack.
+  expect_rejected(std::string(2'000'000, '['));
+  const std::string deepest = std::string(kJsonMaxDepth, '[') +
+                              std::string(kJsonMaxDepth, ']');
+  EXPECT_EQ(parse_json(deepest).items.size(), 1u);
+  expect_rejected("[" + deepest + "]");
+}
+
+TEST(ParseJson, RejectsNumbersOutsideTheGrammar) {
+  for (const char* text :
+       {"inf", "-inf", "nan", "0x10", "+7", "01", "1.", ".5", "1e", "-",
+        "1e999", "-1e999", "[1,]", "1 2"}) {
+    expect_rejected(text);
+  }
+}
+
+TEST(ParseJson, RejectsUnicodeEscapesWithoutFourHexDigits) {
+  for (const char* text : {"\"\\uZZZZ\"", "\"\\u12\"", "\"\\u 123\"",
+                           "\"\\u+123\"", "\"\\u12"}) {
+    expect_rejected(text);
+  }
+  expect_rejected("\"raw\ncontrol\"");
 }
 
 TEST(TraceIo, RoundTripsExactly) {

@@ -264,7 +264,35 @@ TEST(ProfProfiler, ShardAccounting) {
   EXPECT_NEAR(rep.rounds.imbalance(), 1.6, 1e-9);
 }
 
-#else  // !MANTIS_TELEMETRY_ENABLED
+#endif  // MANTIS_TELEMETRY_ENABLED
+
+TEST(ProfReport, RendererRejectsHostileReports) {
+  // Each is one UserError (p4r_inspect prof: exit 1, one error line).
+  const std::string head = "{\"schema\": \"mantis-prof/1\", ";
+  for (const std::string& text :
+       {std::string(2'000'000, '['), head + "\"events\": inf}",
+        head + "\"events\": 0x10}", head + "\"events\": +7}",
+        head + "\"label\": \"\\uZZZZ\"}", head + "\"events\": 1e999}"}) {
+    EXPECT_THROW(prof_report_text(text), UserError) << text.substr(0, 60);
+  }
+  // Counts must be finite, non-negative and below 2^64; the error names
+  // the field instead of printing -5 as 18446744073709551611.
+  for (const char* bad : {"-5", "-0.5", "18446744073709551616", "1e300"}) {
+    try {
+      prof_report_text(head + "\"event_allocs\": " + bad + "}");
+      ADD_FAILURE() << "accepted event_allocs " << bad;
+    } catch (const UserError& e) {
+      EXPECT_NE(std::string(e.what()).find("\"event_allocs\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(prof_report_text(head + "\"shards\": {\"count\": 1, "
+                                       "\"per_shard\": [{\"events\": -1}]}}"),
+               UserError);
+}
+
+#if !MANTIS_TELEMETRY_ENABLED
 
 TEST(ProfProfiler, CompiledOutIsInert) {
   sim::EventLoop loop;
@@ -278,7 +306,7 @@ TEST(ProfProfiler, CompiledOutIsInert) {
   EXPECT_EQ(alloc_count(), 0u);
 }
 
-#endif  // MANTIS_TELEMETRY_ENABLED
+#endif  // !MANTIS_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace mantis::telemetry::prof
