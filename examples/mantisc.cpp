@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     // Standalone bundle: no event loop, so spans time against wall clock.
     mantis::telemetry::Telemetry tel;
     if (!trace_path.empty()) tel.tracer().set_enabled(true);
-    auto& tracer = tel.tracer();
+    [[maybe_unused]] auto& tracer = tel.tracer();
 
     std::string source;
     std::string stem;

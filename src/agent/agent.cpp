@@ -563,13 +563,13 @@ void Agent::apply_updates() {
 
   const auto& bind = art_->bindings;
   const int vv_next = vv_ ^ 1;
-  const Time t0 = loop().now();
+  [[maybe_unused]] const Time t0 = loop().now();
 
   // PREPARE: shadow copies of table ops, then the dirty overflow init
   // entries, as two sync batches.
   protocol_.run_copies(ops, {vv_next});
   drv_->run_batch(dirty_init_rows({vv_next}));
-  const Time after_prepare = loop().now();
+  [[maybe_unused]] const Time after_prepare = loop().now();
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.prepare", "dialogue",
                      telemetry::Track::kAgent, t0, after_prepare, "ops",
                      static_cast<std::int64_t>(ops.size()));
@@ -579,7 +579,7 @@ void Agent::apply_updates() {
   drv_->set_default(master.table, master.action, master_args(vv_next, mv_));
   const int vv_old = vv_;
   vv_ = vv_next;
-  const Time after_commit = loop().now();
+  [[maybe_unused]] const Time after_commit = loop().now();
   MANTIS_SPAN_RECORD(tel_->tracer(), "dialogue.vv_commit", "dialogue",
                      telemetry::Track::kAgent, after_prepare, after_commit,
                      "vv", vv_);
@@ -599,7 +599,7 @@ void Agent::apply_updates_async(const std::vector<PendingOp>& ops) {
   const auto& bind = art_->bindings;
   const int vv_next = vv_ ^ 1;
   const int vv_old = vv_;
-  const Time t0 = loop().now();
+  [[maybe_unused]] const Time t0 = loop().now();
   const std::uint64_t rid = prov_->current_reaction();
 
   // PREPARE: shadow copies of table ops + dirty overflow init entries, one

@@ -215,7 +215,8 @@ struct Gen {
       std::string sig = "action " + a.name + "(";
       for (std::size_t p = 0; p < a.params; ++p) {
         if (p > 0) sig += ", ";
-        sig += "p" + num(p);
+        sig += 'p';
+        sig += num(p);
       }
       sig += ") {\n";
       const std::size_t np = 1 + u(3);

@@ -195,7 +195,8 @@ void run_field_pass(Context& ctx) {
       p4::ActionDecl copy = act;
       copy.name = act.name + "__";
       for (std::size_t k = 0; k < dims.size(); ++k) {
-        copy.name += (k == 0 ? "" : "_") + std::to_string(choice[k]);
+        if (k > 0) copy.name += '_';
+        copy.name += std::to_string(choice[k]);
       }
       copy.name += "_";
       for (auto& ins : copy.body) {

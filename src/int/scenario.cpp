@@ -31,7 +31,7 @@ IntGrayFabricScenario::IntGrayFabricScenario(IntGrayScenarioConfig cfg)
     }
   };
   state_->on_routes_installed = [this](net::NodeId n, Time t) {
-    log_event(t, "n" + std::to_string(n) + " reroute");
+    log_event(t, std::string("n").append(std::to_string(n)).append(" reroute"));
     if (n == 0 && rerouted_at_ < 0) rerouted_at_ = t;
   };
   for (net::NodeId n = 0; n < fabric_->num_switches(); ++n) {

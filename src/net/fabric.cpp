@@ -129,8 +129,10 @@ Fabric::Fabric(sim::EventLoop& loop, const p4::Program& prog, Topology topo,
     } else {
       model.seed = cfg_.base_seed + 2 * static_cast<std::uint64_t>(i);
     }
-    const std::string name =
-        "n" + std::to_string(spec.a) + "-n" + std::to_string(spec.b);
+    const std::string name = std::string("n")
+                                 .append(std::to_string(spec.a))
+                                 .append("-n")
+                                 .append(std::to_string(spec.b));
     links_.push_back(std::make_unique<Link>(
         loop, name, Link::End{spec.a, spec.port_a}, Link::End{spec.b, spec.port_b},
         model, [this](sim::Packet pkt, NodeId node, int port) {

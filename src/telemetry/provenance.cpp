@@ -36,7 +36,7 @@ ProvenanceContext::ProvenanceContext(MetricsRegistry& metrics, Tracer& tracer,
       reactions_(&metrics.counter("reaction.count")),
       first_effects_(&metrics.counter("reaction.first_effects")) {}
 
-std::uint64_t ProvenanceContext::begin_reaction(Time now) {
+std::uint64_t ProvenanceContext::begin_reaction([[maybe_unused]] Time now) {
   const std::uint64_t id = ++next_id_;
   frames_.push_back(Frame{id, false});
   MANTIS_FLOW_START(tracer_, "reaction", "provenance", Track::kAgent, now, id);
@@ -104,7 +104,7 @@ std::uint64_t ProvenanceContext::on_table_mutation() {
         break;
       }
     }
-    const Time now = tracer_.now();
+    [[maybe_unused]] const Time now = tracer_.now();
     MANTIS_SPAN_RECORD(tracer_, "sim.table_commit", "provenance",
                        Track::kSwitch, now, now, "reaction_id",
                        static_cast<std::int64_t>(forced_rid_));
@@ -115,14 +115,15 @@ std::uint64_t ProvenanceContext::on_table_mutation() {
   if (frames_.empty()) return 0;
   frames_.back().mutated = true;
   const std::uint64_t rid = frames_.back().id;
-  const Time now = tracer_.now();
+  [[maybe_unused]] const Time now = tracer_.now();
   MANTIS_SPAN_RECORD(tracer_, "sim.table_commit", "provenance", Track::kSwitch,
                      now, now, "reaction_id", static_cast<std::int64_t>(rid));
   MANTIS_FLOW_STEP(tracer_, "reaction", "provenance", Track::kSwitch, now, rid);
   return rid;
 }
 
-void ProvenanceContext::on_first_effect(Time arrival, Duration pass_latency) {
+void ProvenanceContext::on_first_effect(
+    Time arrival, [[maybe_unused]] Duration pass_latency) {
   const std::uint64_t rid = effect_pending_.load(std::memory_order_relaxed);
   if (rid == 0) return;
   const Duration take_effect = arrival - committed_at_;
