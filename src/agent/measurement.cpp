@@ -10,7 +10,6 @@ p4r::creact::PolledParams Measurement::poll(driver::Driver& drv,
                                             int checkpoint_mv) {
   expects(checkpoint_mv == 0 || checkpoint_mv == 1, "poll: bad mv");
   p4r::creact::PolledParams out;
-  last_poll_ops_ = 0;
 
   // ---- packed field params: one scattered-word read over all registers ----
   if (!rinfo.measure_regs.empty()) {
@@ -21,7 +20,6 @@ p4r::creact::PolledParams Measurement::poll(driver::Driver& drv,
           reg, static_cast<std::uint32_t>(checkpoint_mv)});
     }
     const auto values = drv.read_packed_words(words);
-    ++last_poll_ops_;
 
     for (const auto& slot : rinfo.fields) {
       // Locate the word for this slot's register.
@@ -45,7 +43,6 @@ p4r::creact::PolledParams Measurement::poll(driver::Driver& drv,
     const std::uint32_t last = 2 * slot.hi + 1;
     const auto dup_vals = drv.read_register_range(slot.dup_reg, first, last);
     const auto ts_vals = drv.read_register_range(slot.ts_reg, first, last);
-    last_poll_ops_ += 2;
 
     p4r::creact::PolledParams::Array arr;
     arr.lo = slot.lo;

@@ -27,12 +27,8 @@ class Measurement {
                                  const compile::ReactionInfo& rinfo,
                                  int checkpoint_mv);
 
-  /// Number of driver read operations issued by the last poll.
-  std::size_t last_poll_ops() const { return last_poll_ops_; }
-
  private:
   bool cache_enabled_;
-  std::size_t last_poll_ops_ = 0;
 
   struct CacheLine {
     std::vector<std::uint64_t> ts;     ///< last seen timestamp per dp index

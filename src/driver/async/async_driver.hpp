@@ -101,8 +101,6 @@ class AsyncDriver {
   /// Drains every in-flight batch, in submit order.
   std::vector<BatchCompletion> reap_all();
 
-  std::uint64_t batches_submitted() const { return completions_.size(); }
-
  private:
   struct InFlight {
     const char* label = "driver.async.batch";

@@ -57,9 +57,6 @@ class IntCollector {
   std::vector<const IntReport*> poll(std::size_t& cursor) const;
 
   std::uint64_t reports_from(std::uint32_t sink) const;
-  std::uint64_t truncated_reports() const { return truncated_; }
-  std::uint32_t max_queue_bytes() const { return max_queue_bytes_; }
-  std::uint32_t max_hop_latency_ns() const { return max_hop_latency_; }
 
   /// Deterministic multi-line text: totals, per-sink counts, hop-count
   /// distribution, queue/latency maxima. Examples print this under --int.

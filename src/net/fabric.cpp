@@ -26,7 +26,6 @@ void Host::send(sim::Packet pkt) {
 void Host::receive(sim::Packet pkt) {
   const Time now = fabric_->loop().now();
   ++rx_pkts_;
-  last_rx_time_ = now;
   fabric_->stats_.host_rx_pkts.fetch_add(1, std::memory_order_relaxed);
   fabric_->host_rx_ctr_->add();
   if (pkt.origin_time() >= 0) {

@@ -47,7 +47,6 @@ class Host {
 
   std::uint64_t tx_pkts() const { return tx_pkts_; }
   std::uint64_t rx_pkts() const { return rx_pkts_; }
-  Time last_rx_time() const { return last_rx_time_; }
 
  private:
   friend class Fabric;
@@ -60,7 +59,6 @@ class Host {
   Link* uplink_ = nullptr;  ///< the link on port 0; null when unwired
   std::uint64_t tx_pkts_ = 0;
   std::uint64_t rx_pkts_ = 0;
-  Time last_rx_time_ = -1;
   ReceiveHook on_receive_;
 };
 

@@ -81,9 +81,6 @@ struct RmtResourceModel {
   std::uint64_t sram_bits_per_stage() const { return sram_bytes_per_stage * 8; }
   std::uint64_t tcam_bits_per_stage() const { return tcam_bytes_per_stage * 8; }
 
-  /// The default (Tofino-class) envelope, spelled out.
-  static RmtResourceModel tofino_like() { return RmtResourceModel{}; }
-
   /// One-line human-readable rendering.
   std::string describe() const;
 

@@ -87,7 +87,6 @@ class EventLoop {
     std::vector<Event>* outbox = nullptr;
   };
   static void set_shard_frame(ShardFrame* frame) { tls_frame_ = frame; }
-  static ShardFrame* shard_frame() { return tls_frame_; }
 
   /// The stack-wide telemetry bundle (metrics + tracer). Lazily created;
   /// the tracer's clock is this loop's virtual clock. Everything attached

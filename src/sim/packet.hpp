@@ -36,7 +36,6 @@ class Packet {
   }
 
   std::uint32_t length_bytes() const { return length_bytes_; }
-  void set_length_bytes(std::uint32_t len) { length_bytes_ = len; }
 
   bool dropped() const { return dropped_; }
   void mark_dropped() { dropped_ = true; }

@@ -219,7 +219,6 @@ class Histogram {
   /// the exact interpolated percentile. Throws when empty.
   double quantile(double q) const;
 
-  bool keeps_raw() const { return opts_.keep_raw; }
   /// Raw sample view; requires keep_raw.
   const Samples& raw() const;
 

@@ -120,11 +120,6 @@ class ProvenanceContext {
   /// span [arrival, arrival + pass_latency), and the flow end.
   void on_first_effect(Time arrival, Duration pass_latency);
 
-  std::uint64_t last_reaction() const { return next_id_; }
-  std::uint64_t pending_effect_reaction() const {
-    return effect_pending_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Frame {
     std::uint64_t id = 0;

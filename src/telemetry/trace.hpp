@@ -148,12 +148,6 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Attach/replace the numeric argument before the span closes.
-  void set_arg(const char* name, std::int64_t value) {
-    arg_name_ = name;
-    arg_ = value;
-  }
-
  private:
   Tracer* tracer_;
   const char* name_;

@@ -19,6 +19,5 @@ constexpr Duration kSecond = 1000 * 1000 * 1000;
 
 constexpr double to_us(Duration d) { return static_cast<double>(d) / kMicrosecond; }
 constexpr double to_ms(Duration d) { return static_cast<double>(d) / kMillisecond; }
-constexpr double to_s(Duration d) { return static_cast<double>(d) / kSecond; }
 
 }  // namespace mantis

@@ -6,7 +6,6 @@
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
-#include "util/intern.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -64,25 +63,6 @@ TEST(Bits, BitsToBytes) {
   EXPECT_EQ(bits_to_bytes(8), 1u);
   EXPECT_EQ(bits_to_bytes(9), 2u);
   EXPECT_EQ(bits_to_bytes(48), 6u);
-}
-
-// ---------------------------------------------------------------------------
-// Interner
-// ---------------------------------------------------------------------------
-
-TEST(Interner, RoundTrips) {
-  Interner in;
-  const Sym a = in.intern("ipv4.srcAddr");
-  const Sym b = in.intern("ipv4.dstAddr");
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, kNoSym);
-  EXPECT_EQ(in.intern("ipv4.srcAddr"), a);
-  EXPECT_EQ(in.str(a), "ipv4.srcAddr");
-  EXPECT_EQ(in.lookup("ipv4.dstAddr"), b);
-  EXPECT_EQ(in.lookup("nope"), kNoSym);
-  EXPECT_EQ(in.size(), 2u);
-  EXPECT_THROW(in.str(kNoSym), PreconditionError);
-  EXPECT_THROW(in.str(999), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
