@@ -215,8 +215,8 @@ std::string emit_json(const Program& prog) {
   w.end_array();
 
   w.end_object();
-  // The document has always opened with a blank line.
-  return "\n" + w.take() + "\n";
+  // Program JSON opens with a blank line (tests/golden/figure1.json).
+  return std::string("\n").append(w.take()).append("\n");
 }
 
 }  // namespace mantis::p4

@@ -115,14 +115,11 @@ std::string mfr_chrome_json(const MfrDump& dump) {
     const auto& ev = dump.events[i];
     const unsigned tid = static_cast<std::uint8_t>(ev.kind);
     JsonWriter& w = out.begin_event(ev.name, "mfr", "i");
-    w.field("s", "t");
-    w.field("pid", 0).field("tid", tid);
+    w.field("s", "t").field("pid", 0).field("tid", tid);
     out.time("ts", ev.t);
     w.key("args").begin_object(JsonWriter::Layout::kInline);
-    w.field("seq", ev.seq);
-    w.field("reaction_id", ev.reaction_id);
-    w.field("value", ev.value);
-    w.field("detail", ev.detail);
+    w.field("seq", ev.seq).field("reaction_id", ev.reaction_id);
+    w.field("value", ev.value).field("detail", ev.detail);
     w.end_object();
     out.end_event();
     if (ev.reaction_id != 0) {

@@ -134,9 +134,9 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-double JsonValue::num_or(std::string_view key, double dflt) const {
+double JsonValue::num_or(std::string_view key) const {
   const JsonValue* v = find(key);
-  return v != nullptr && v->type == Type::kNumber ? v->number : dflt;
+  return v != nullptr && v->type == Type::kNumber ? v->number : 0;
 }
 
 std::string JsonValue::str_or(std::string_view key) const {

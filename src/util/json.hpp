@@ -100,7 +100,8 @@ struct JsonValue {
 
   /// The first member named `key`; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
-  double num_or(std::string_view key, double dflt = 0) const;
+  /// Member `key`'s number or string; 0 or "" when it is absent or not one.
+  double num_or(std::string_view key) const;
   std::string str_or(std::string_view key) const;
 };
 
