@@ -498,7 +498,8 @@ TEST(ChromeTrace, FlowEventsExportWithSharedIdAndBindingPoint) {
          2000, 42);
   t.flow(TraceEvent::Phase::kFlowEnd, "rx", "prov", Track::kSwitch, 3000, 42);
   const auto json = telemetry::chrome_trace_json(t);
-  for (const auto& e : parse_json(json).find("traceEvents")->items) {
+  const JsonValue doc = parse_json(json);
+  for (const auto& e : doc.find("traceEvents")->items) {
     if (e.str_or("cat") == "prov") {
       EXPECT_EQ(e.num_or("id"), 42);
     }
