@@ -28,7 +28,7 @@ class ChromeTraceWriter {
   /// Names lane `tid` of pid 0 (a "thread_name" metadata event).
   void lane(unsigned tid, std::string_view name);
   /// Opens an event with its "name", "cat" and "ph" members. Add the rest
-  /// through json() and time(), then close it with end_event().
+  /// through the returned writer and time(), then close it with end_event().
   JsonWriter& begin_event(std::string_view name, std::string_view cat,
                           std::string_view ph);
   /// Member `key` holding virtual time `ns` in microseconds.
