@@ -6,6 +6,7 @@
 // `<name>.actual` in its working directory, for diffing against the pin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -45,14 +46,17 @@ void expect_golden(const std::string& name, const std::string& actual) {
 }
 
 // Wall-clock capture instants differ per run: zero every "wall_ns" value.
-std::string mask_wall_ns(std::string json) {
+std::string mask_wall_ns(const std::string& json) {
   const std::string key = "\"wall_ns\": ";
+  std::string out;
+  std::size_t from = 0;
   for (auto at = json.find(key); at != std::string::npos;
-       at = json.find(key, at)) {
-    at += key.size();
-    json.replace(at, json.find_first_not_of("0123456789", at) - at, "0");
+       at = json.find(key, from)) {
+    out.append(json, from, at + key.size() - from).append("0");
+    from = std::min(json.find_first_not_of("0123456789", at + key.size()),
+                    json.size());
   }
-  return json;
+  return out.append(json, from);
 }
 
 // A counter, a gauge, an empty histogram and one spanning several export

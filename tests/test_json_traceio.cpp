@@ -126,7 +126,7 @@ TEST(ParseJson, ReadsBackWhatTheWriterWrites) {
 }
 
 TEST(ParseJson, RejectsNestingDeeperThanTheLimit) {
-  // Two million '[' once overflowed the parser's stack.
+  // Far past the limit: unbounded recursion would overflow the stack.
   expect_rejected(std::string(2'000'000, '['));
   const std::string deepest = std::string(kJsonMaxDepth, '[') +
                               std::string(kJsonMaxDepth, ']');

@@ -275,8 +275,8 @@ TEST(ProfReport, RendererRejectsHostileReports) {
         head + "\"label\": \"\\uZZZZ\"}", head + "\"events\": 1e999}"}) {
     EXPECT_THROW(prof_report_text(text), UserError) << text.substr(0, 60);
   }
-  // Counts must be finite, non-negative and below 2^64; the error names
-  // the field instead of printing -5 as 18446744073709551611.
+  // Counts must be finite, non-negative and below 2^64 (casting the double
+  // -5 to std::uint64_t is undefined); the error names the field.
   for (const char* bad : {"-5", "-0.5", "18446744073709551616", "1e300"}) {
     try {
       prof_report_text(head + "\"event_allocs\": " + bad + "}");
